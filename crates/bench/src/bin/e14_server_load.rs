@@ -454,25 +454,28 @@ fn main() {
     );
     assert_eq!(sustained.hangs, 0, "sustained phase hung");
 
-    // STATS cross-check: with every client joined, the wire snapshot, the
+    // METRICS cross-check: with every client joined, the scraped text, the
     // embedded Server::stats() view, and the clients' own completion count
     // must all agree — the three views read the same registry
-    let mut stats_client = Client::connect(server.local_addr()).expect("connect for STATS");
-    let wire_snapshot = stats_client.stats().expect("STATS reply");
-    let wire_served = wire_snapshot
-        .counter("server.queries_served")
-        .expect("server.queries_served in STATS reply");
+    let mut metrics_client = Client::connect(server.local_addr()).expect("connect for METRICS");
+    let text = metrics_client.metrics_text().expect("METRICS reply");
+    let wire_served: u64 = text
+        .lines()
+        .find_map(|line| line.strip_prefix("server_queries_served "))
+        .expect("server_queries_served in METRICS text")
+        .parse()
+        .expect("integral counter sample");
     assert_eq!(
         wire_served,
         server.stats().queries_served,
-        "STATS opcode and Server::stats() diverged"
+        "METRICS opcode and Server::stats() diverged"
     );
     assert_eq!(
         wire_served, sustained.completed,
         "server-side queries_served must match the clients' completion count"
     );
     println!(
-        "\nSTATS cross-check: wire queries_served = embedded stats() = client count = {wire_served}"
+        "\nMETRICS cross-check: wire queries_served = embedded stats() = client count = {wire_served}"
     );
 
     // phase 3 runs against the warmed sustained-phase server so fidelity is

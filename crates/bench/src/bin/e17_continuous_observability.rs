@@ -5,8 +5,9 @@
 //! that the engine can now report the same story about itself, continuously,
 //! through the PR-9 observability pipeline: the snapshot-diffing reporter
 //! ([`Database::report_tick`]), every-Nth-query trace sampling
-//! ([`Database::recent_traces`]), the per-column index-health monitor
-//! ([`Database::index_health`]), and the Prometheus/TRACES wire endpoints.
+//! (the trace ring in [`Database::inspect`]), the per-column index-health
+//! monitor ([`Database::index_health`]), and the METRICS/INSPECT wire
+//! endpoints.
 //!
 //! 1. **Convergence is visible in the windowed rates** — a uniform-random
 //!    workload over a cracked column, ticked into reporter intervals: the
@@ -21,8 +22,8 @@
 //!    with tracing disabled and at the default 1/64 rate; the sampled run
 //!    must stay within generous measurement noise of the disabled one.
 //! 4. **The wire serves it** — a `METRICS` frame returns parseable
-//!    Prometheus text exposition and a `TRACES` frame returns the sampled
-//!    ring, both over a live socket.
+//!    Prometheus text exposition and an `INSPECT` frame returns the
+//!    engine's inspection, sampled ring included, both over a live socket.
 
 use aidx_bench::HarnessConfig;
 use aidx_columnstore::column::Column;
@@ -127,11 +128,9 @@ fn phase_convergence(rows: usize, queries: usize, selectivity: f64, seed: u64) -
     );
 
     // the reporter ring retained the intervals
-    assert_eq!(
-        db.recent_reports().len().min(intervals),
-        db.recent_reports().len()
-    );
-    assert!(!db.recent_reports().is_empty(), "reporter ring populated");
+    let history = db.inspect().history;
+    assert!(history.len() <= intervals, "one delta per interval at most");
+    assert!(!history.is_empty(), "reporter ring populated");
 
     let health = db.index_health();
     let entry = health
@@ -232,13 +231,13 @@ fn phase_overhead(rows: usize, queries: usize, selectivity: f64, seed: u64) {
     );
     // warmup + 3 timed batches = 4x queries total decisions at 1/64
     assert!(
-        db_on.recent_traces().len() <= (4 * queries) / 64 + 1,
+        db_on.inspect().traces.len() <= (4 * queries) / 64 + 1,
         "1/64 sampling keeps the ring sparse"
     );
 }
 
 /// Phase 4: the wire serves the pipeline — Prometheus text from METRICS,
-/// the sampled ring from TRACES.
+/// the engine's inspection (sampled ring included) from INSPECT.
 fn phase_wire(db: &Database) {
     let server = Server::start(db.clone(), ServerConfig::localhost()).expect("bind localhost");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -274,8 +273,9 @@ fn phase_wire(db: &Database) {
         "the scrape itself is instrumented"
     );
 
-    let traces = client.traces().expect("TRACES reply");
-    assert_eq!(traces, db.recent_traces(), "wire ring == embedded ring");
+    let inspection = client.inspect().expect("INSPECT reply");
+    assert_eq!(inspection, db.inspect(), "wire inspection == embedded");
+    let traces = inspection.traces;
     assert!(!traces.is_empty(), "phase 1 sampled every query");
     assert!(
         traces
@@ -285,7 +285,7 @@ fn phase_wire(db: &Database) {
     );
 
     println!(
-        "\n## phase 4 — wire: {samples} Prometheus samples parsed, {} traces over TRACES",
+        "\n## phase 4 — wire: {samples} Prometheus samples parsed, {} traces over INSPECT",
         traces.len()
     );
     server.shutdown();
@@ -316,6 +316,6 @@ fn main() {
 
     println!(
         "\nacceptance: windowed effort fell, verdicts converged/stalled as driven, \
-         1/64 sampling within noise, METRICS and TRACES served over the wire"
+         1/64 sampling within noise, METRICS and INSPECT served over the wire"
     );
 }

@@ -17,8 +17,8 @@
 //!    [`AlertAction::RefreshIndex`] fires and rebuilds the column under
 //!    stochastic cracking, and the *windowed* per-query refinement effort
 //!    measurably collapses afterward — the closed loop, no operator.
-//! 3. **The wire serves the story** — `ALERTS` and `HISTORY` frames
-//!    round-trip the exact engine-side journal and delta ring over a live
+//! 3. **The wire serves the story** — an `INSPECT` frame round-trips the
+//!    exact engine-side alert states, journal and delta ring over a live
 //!    socket, and the scrape exposes `aidx_alert_firing` /
 //!    `aidx_index_health` gauges.
 
@@ -70,7 +70,8 @@ fn run_queries(db: &Database, queries: &[Query]) -> u64 {
 }
 
 fn state_of(db: &Database, rule: &str) -> AlertState {
-    db.alert_status()
+    db.inspect()
+        .alerts
         .into_iter()
         .find(|s| s.rule == rule)
         .map(|s| s.state)
@@ -78,7 +79,8 @@ fn state_of(db: &Database, rule: &str) -> AlertState {
 }
 
 fn event_kinds(db: &Database, rule: &str) -> Vec<AlertEventKind> {
-    db.alert_events()
+    db.inspect()
+        .alert_events
         .iter()
         .filter(|e| e.rule == rule)
         .map(|e| e.kind)
@@ -222,7 +224,8 @@ fn phase_stall_selfheal(rows: usize, queries: usize, seed: u64) -> Database {
     );
     assert_eq!(stats[0].queries, 0, "a fresh index build");
     let firing = db
-        .alert_events()
+        .inspect()
+        .alert_events
         .iter()
         .find(|e| e.kind == AlertEventKind::Firing)
         .cloned()
@@ -254,7 +257,7 @@ fn phase_stall_selfheal(rows: usize, queries: usize, seed: u64) -> Database {
     db
 }
 
-/// Phase 3: `ALERTS` and `HISTORY` round-trip the engine's journal and
+/// Phase 3: `INSPECT` round-trips the engine's alert states, journal and
 /// delta ring exactly, and the scrape carries the labeled gauges.
 fn phase_wire(db: &Database) {
     let server = Server::start(db.clone(), ServerConfig::localhost()).expect("bind localhost");
@@ -263,14 +266,20 @@ fn phase_wire(db: &Database) {
         .set_reply_timeout(Some(Duration::from_secs(10)))
         .expect("reply timeout");
 
-    let (status, events) = client.alerts().expect("ALERTS reply");
-    assert_eq!(status, db.alert_status(), "wire status == engine status");
-    assert_eq!(events, db.alert_events(), "wire journal == engine journal");
-    assert!(!events.is_empty(), "phase 2 journaled transitions");
-
-    let history = client.history().expect("HISTORY reply");
-    assert_eq!(history, db.recent_reports(), "wire ring == engine ring");
-    assert!(history.len() >= 3, "phase 2 completed three intervals");
+    let inspection = client.inspect().expect("INSPECT reply");
+    assert_eq!(inspection, db.inspect(), "wire inspection == engine");
+    assert!(
+        !inspection.alerts.is_empty(),
+        "configured rules have states"
+    );
+    assert!(
+        !inspection.alert_events.is_empty(),
+        "phase 2 journaled transitions"
+    );
+    assert!(
+        inspection.history.len() >= 3,
+        "phase 2 completed three intervals"
+    );
 
     let text = client.metrics_text().expect("METRICS reply");
     assert!(
@@ -284,9 +293,9 @@ fn phase_wire(db: &Database) {
 
     println!(
         "\n## phase 3 — wire: {} statuses, {} journal events, {} history deltas round-tripped",
-        status.len(),
-        events.len(),
-        history.len()
+        inspection.alerts.len(),
+        inspection.alert_events.len(),
+        inspection.history.len()
     );
     server.shutdown();
 }
@@ -306,6 +315,6 @@ fn main() {
     println!(
         "\nacceptance: shed alert walked pending->firing->resolved under induced overload, \
          stalled column self-healed onto stochastic cracking with effort collapse, \
-         ALERTS/HISTORY round-tripped the engine surfaces"
+         INSPECT round-tripped the engine surfaces"
     );
 }

@@ -18,7 +18,7 @@ use crate::maintenance::{CompactionReport, MaintenanceState};
 use crate::manager::{IndexInfo, IndexManager};
 use crate::session::Session;
 use crate::strategy::{StrategyKind, StrategyTuning};
-use crate::telemetry::{EngineTelemetry, ObservabilityState, TelemetrySnapshot};
+use crate::telemetry::{EngineTelemetry, Inspection, ObservabilityState, TelemetrySnapshot};
 use aidx_columnstore::catalog::Catalog;
 use aidx_columnstore::error::ColumnStoreError;
 use aidx_columnstore::segment::DEFAULT_SEGMENT_CAPACITY;
@@ -26,7 +26,7 @@ use aidx_columnstore::table::Table;
 use aidx_columnstore::types::RowId;
 use aidx_cracking::updates::MergePolicy;
 use aidx_maintenance::{MaintenanceConfig, MaintenanceStatsSnapshot};
-use aidx_telemetry::{AlertConfig, AlertEvent, AlertStatus, QueryTrace, Registry, SnapshotDelta};
+use aidx_telemetry::{AlertConfig, Registry, SnapshotDelta};
 use aidx_wal::{DurabilityConfig, WalRecord, WalStatsSnapshot, WalTelemetry};
 use parking_lot::RwLock;
 use std::path::Path;
@@ -838,7 +838,7 @@ impl Database {
     /// baseline and returns `None`; every later tick returns the interval's
     /// [`SnapshotDelta`] (per-counter deltas and rates, *windowed*
     /// histogram quantiles, gauge levels), which is also retained in the
-    /// reporter ring ([`Database::recent_reports`]).
+    /// reporter ring ([`Inspection::history`]).
     ///
     /// The maintenance scheduler runs the same tick as its fourth job, so a
     /// database with [`MaintenanceConfig::background`] set reports
@@ -862,26 +862,30 @@ impl Database {
         self.inner.observe_tick()
     }
 
-    /// Recent reporter intervals, oldest first (bounded by
-    /// [`DatabaseBuilder::report_capacity`]).
-    pub fn recent_reports(&self) -> Vec<SnapshotDelta> {
-        self.inner.observability.recent_reports()
-    }
-
     /// The most recent reporter interval, if one has completed.
     pub fn latest_report(&self) -> Option<SnapshotDelta> {
         self.inner.observability.latest_report()
     }
 
-    /// Recent sampled query traces, oldest first (see
-    /// [`DatabaseBuilder::trace_sampling`]).
-    pub fn recent_traces(&self) -> Vec<QueryTrace> {
-        self.inner.observability.recent_traces()
-    }
-
-    /// The slowest sampled traces since startup, slowest first.
-    pub fn slowest_traces(&self) -> Vec<QueryTrace> {
-        self.inner.observability.slowest_traces()
+    /// Everything the engine retains about its recent behaviour beyond
+    /// [`Database::telemetry`]: the sampled-trace ring, per-rule alert
+    /// states, the alert journal, and the reporter's interval history. The
+    /// server's `INSPECT` opcode returns exactly this value. Each section
+    /// is read under its own short lock, so the sections are individually
+    /// consistent but not one atomic cut.
+    pub fn inspect(&self) -> Inspection {
+        let (alerts, alert_events) = self
+            .inner
+            .alerts
+            .as_ref()
+            .map(|runtime| (runtime.status(), runtime.events()))
+            .unwrap_or_default();
+        Inspection {
+            traces: self.inner.observability.recent_traces(),
+            alerts,
+            alert_events,
+            history: self.inner.observability.recent_reports(),
+        }
     }
 
     /// The configured trace-sampling period (`0` = sampling disabled).
@@ -901,30 +905,6 @@ impl Database {
             &self.inner.manager.describe(),
             &self.inner.observability.recent_traces(),
         )
-    }
-
-    /// Current per-rule alert states (one entry per configured rule, in
-    /// rule order): idle / pending / firing, consecutive breach and healthy
-    /// interval counts, the last breach observation, and how many times the
-    /// rule has fired. Empty when alerting is not configured.
-    pub fn alert_status(&self) -> Vec<AlertStatus> {
-        self.inner
-            .alerts
-            .as_ref()
-            .map(AlertRuntime::status)
-            .unwrap_or_default()
-    }
-
-    /// The alert event journal, oldest first (bounded by
-    /// [`AlertConfig::journal_capacity`]): every pending / firing / resolved
-    /// / cancelled transition with the reporter tick it happened on. Empty
-    /// when alerting is not configured.
-    pub fn alert_events(&self) -> Vec<AlertEvent> {
-        self.inner
-            .alerts
-            .as_ref()
-            .map(AlertRuntime::events)
-            .unwrap_or_default()
     }
 
     /// The alert configuration this database was built with, when alerting
@@ -1432,15 +1412,8 @@ mod tests {
                 .execute()
                 .unwrap();
         }
-        let traces = db.recent_traces();
+        let traces = db.inspect().traces;
         assert_eq!(traces.len(), 16, "1-in-4 of 64 queries");
-        assert!(!db.slowest_traces().is_empty());
-        assert!(
-            db.slowest_traces()
-                .windows(2)
-                .all(|w| w[0].elapsed_ns >= w[1].elapsed_ns),
-            "slowest-first"
-        );
         let health = db.index_health();
         assert_eq!(health.len(), 1);
         assert!(health[0].windowed_queries > 0, "sampled probes seen");
@@ -1464,7 +1437,7 @@ mod tests {
             .execute()
             .unwrap();
         assert!(
-            db.recent_traces().is_empty(),
+            db.inspect().traces.is_empty(),
             "disabled telemetry samples nothing"
         );
         let db = Database::builder().trace_sampling(0).try_build().unwrap();
@@ -1474,7 +1447,7 @@ mod tests {
             .range("o_key", 0, 50)
             .execute()
             .unwrap();
-        assert!(db.recent_traces().is_empty(), "sampling off");
+        assert!(db.inspect().traces.is_empty(), "sampling off");
         // explain_profile still traces on demand either way
         let profile = db
             .session()
@@ -1500,7 +1473,7 @@ mod tests {
             let windowed = delta.histogram("engine.query_ns").unwrap();
             assert_eq!(windowed.count, 1, "windowed, not cumulative");
         }
-        assert_eq!(db.recent_reports().len(), 2, "ring bounded at capacity");
+        assert_eq!(db.inspect().history.len(), 2, "ring bounded at capacity");
         assert!(db.latest_report().is_some());
     }
 
@@ -1568,8 +1541,7 @@ mod tests {
         assert!(matches!(err, Err(AidxError::Config { .. })));
         // no alerts configured: the surfaces are empty, not errors
         let db = Database::builder().try_build().unwrap();
-        assert!(db.alert_status().is_empty());
-        assert!(db.alert_events().is_empty());
+        assert_eq!(db.inspect(), Inspection::default());
         assert!(db.alert_config().is_none());
     }
 
@@ -1584,22 +1556,22 @@ mod tests {
         db.create_table("t", orders_table(500)).unwrap();
         let session = db.session();
         assert!(db.report_tick().is_none(), "first tick primes");
-        assert_eq!(db.alert_status()[0].state, AlertState::Idle);
+        assert_eq!(db.inspect().alerts[0].state, AlertState::Idle);
         // two breaching intervals arm then fire
         session.query("t").range("o_key", 0, 50).execute().unwrap();
         db.report_tick().unwrap();
-        assert_eq!(db.alert_status()[0].state, AlertState::Pending);
+        assert_eq!(db.inspect().alerts[0].state, AlertState::Pending);
         session.query("t").range("o_key", 50, 90).execute().unwrap();
         db.report_tick().unwrap();
-        let status = &db.alert_status()[0];
+        let status = &db.inspect().alerts[0];
         assert_eq!(status.state, AlertState::Firing);
         assert_eq!(status.times_fired, 1);
         // two quiet intervals resolve
         db.report_tick().unwrap();
-        assert_eq!(db.alert_status()[0].state, AlertState::Firing);
+        assert_eq!(db.inspect().alerts[0].state, AlertState::Firing);
         db.report_tick().unwrap();
-        assert_eq!(db.alert_status()[0].state, AlertState::Idle);
-        let kinds: Vec<AlertEventKind> = db.alert_events().iter().map(|e| e.kind).collect();
+        assert_eq!(db.inspect().alerts[0].state, AlertState::Idle);
+        let kinds: Vec<AlertEventKind> = db.inspect().alert_events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -1648,7 +1620,7 @@ mod tests {
         assert_eq!(db.index_stats()[0].strategy, "cracking");
         db.report_tick().unwrap(); // pending
         db.report_tick().unwrap(); // firing → RefreshIndex executes
-        assert_eq!(db.alert_status()[0].state, AlertState::Firing);
+        assert_eq!(db.inspect().alerts[0].state, AlertState::Firing);
         assert_eq!(db.maintenance_stats().indexes_remediated, 1);
         let info = &db.index_stats()[0];
         assert_eq!(info.strategy, "stochastic-cracking");

@@ -8,7 +8,7 @@
 //! sequential workload cracks one thin slice off the same huge piece every
 //! query, so per-query effort barely falls. [`IndexHealth`] turns that
 //! analysis into a live signal: it compares the *windowed* effort per query
-//! (from the [`crate::Database::recent_traces`] sampling ring) against the
+//! (from the sampled-trace ring in [`crate::Database::inspect`]) against the
 //! *cumulative* average (from the index manager) and labels each column
 //! [`HealthVerdict::Converging`], [`HealthVerdict::Converged`],
 //! [`HealthVerdict::Stalled`], or [`HealthVerdict::Regressing`].

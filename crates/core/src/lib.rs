@@ -50,7 +50,7 @@
 //!   materialization) as a typed trace.
 //! * [`health`] + continuous observability — the live form of the paper's
 //!   convergence curve: every Nth query is trace-sampled into a bounded
-//!   ring ([`Database::recent_traces`]), a reporter diffs successive metric
+//!   ring ([`Database::inspect`]), a reporter diffs successive metric
 //!   snapshots into per-interval rates and windowed quantiles
 //!   ([`Database::report_tick`], riding the maintenance scheduler), and
 //!   [`Database::index_health`] joins both into a per-column convergence
@@ -122,7 +122,7 @@ pub mod prelude {
     pub use crate::result::{QueryResult, RowIter};
     pub use crate::session::{QueryBuilder, QueryProfile, Session};
     pub use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
-    pub use crate::telemetry::TelemetrySnapshot;
+    pub use crate::telemetry::{Inspection, TelemetrySnapshot};
     pub use crate::tuner::{AutoTuner, TuningPolicy};
     pub use aidx_columnstore::prelude::*;
     pub use aidx_cracking::updates::MergePolicy;
@@ -154,5 +154,5 @@ pub use query::{Aggregation, Predicate, Query};
 pub use result::{QueryResult, RowIter};
 pub use session::{QueryBuilder, QueryProfile, Session};
 pub use strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
-pub use telemetry::TelemetrySnapshot;
+pub use telemetry::{Inspection, TelemetrySnapshot};
 pub use tuner::{AutoTuner, TuningPolicy};

@@ -11,7 +11,8 @@
 //! only the load when disabled.
 
 use aidx_telemetry::{
-    Counter, Histogram, QueryTrace, Registry, Reporter, Snapshot, SnapshotDelta, TraceSampler,
+    AlertEvent, AlertStatus, Counter, Histogram, QueryTrace, Registry, Reporter, Snapshot,
+    SnapshotDelta, TraceSampler,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,9 +143,6 @@ impl EngineTelemetry {
 /// Recent sampled traces kept by the engine's [`TraceSampler`] ring.
 pub(crate) const TRACE_RING_CAPACITY: usize = 64;
 
-/// Slowest sampled traces retained since startup.
-pub(crate) const SLOWEST_TRACE_CAPACITY: usize = 8;
-
 /// The continuous-observability state hung off the database internals: the
 /// every-Nth-query [`TraceSampler`] and the snapshot-diffing [`Reporter`].
 /// Both are engine-agnostic `aidx-telemetry` types; this wrapper adds the
@@ -169,7 +167,7 @@ struct ReporterState {
 impl ObservabilityState {
     pub(crate) fn new(trace_every: u64, report_capacity: usize) -> Self {
         ObservabilityState {
-            sampler: TraceSampler::new(trace_every, TRACE_RING_CAPACITY, SLOWEST_TRACE_CAPACITY),
+            sampler: TraceSampler::new(trace_every, TRACE_RING_CAPACITY),
             reporter: parking_lot::Mutex::new(ReporterState {
                 reporter: Reporter::new(report_capacity),
                 last_tick: None,
@@ -205,11 +203,6 @@ impl ObservabilityState {
     pub(crate) fn recent_traces(&self) -> Vec<QueryTrace> {
         self.sampler.recent()
     }
-
-    /// Slowest sampled traces since startup, slowest first.
-    pub(crate) fn slowest_traces(&self) -> Vec<QueryTrace> {
-        self.sampler.slowest()
-    }
 }
 
 /// A point-in-time, serde-serializable view of the engine's telemetry, as
@@ -225,14 +218,24 @@ pub struct TelemetrySnapshot {
     pub metrics: Snapshot,
 }
 
-impl TelemetrySnapshot {
-    /// Human-readable multi-line render of every metric.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "telemetry {}\n",
-            if self.enabled { "enabled" } else { "disabled" }
-        );
-        out.push_str(&self.metrics.render_text());
-        out
-    }
+/// Everything the engine retains about its recent behaviour beyond the
+/// metric registry, as returned by [`crate::Database::inspect`]. The
+/// server's `INSPECT` reply carries this value unchanged, so the embedded
+/// and wire views of a database are equal by construction.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Inspection {
+    /// Recent sampled query traces, oldest first (the sampler ring; see
+    /// [`crate::DatabaseBuilder::trace_sampling`]).
+    pub traces: Vec<QueryTrace>,
+    /// One live status per configured alert rule, in rule order: idle /
+    /// pending / firing, streak counts, the last breach observation, and
+    /// how many times the rule has fired. Empty without alerting.
+    pub alerts: Vec<AlertStatus>,
+    /// The alert event journal, oldest first (bounded by
+    /// [`aidx_telemetry::AlertConfig::journal_capacity`]): every pending /
+    /// firing / resolved / cancelled transition with its reporter tick.
+    pub alert_events: Vec<AlertEvent>,
+    /// Recent reporter intervals, oldest first (bounded by
+    /// [`crate::DatabaseBuilder::report_capacity`]).
+    pub history: Vec<SnapshotDelta>,
 }

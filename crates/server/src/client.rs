@@ -14,7 +14,7 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_BYTES,
 };
 use aidx_columnstore::types::Value;
-use aidx_core::Query;
+use aidx_core::{Inspection, Query};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -110,20 +110,12 @@ impl Client {
         }
     }
 
-    /// Fetch the server's merged telemetry snapshot: every `engine.*`,
-    /// `maintenance.*`, and `wal.*` metric from the served database plus the
-    /// `server.*` request counters and per-opcode latency histograms. Never
-    /// shed by admission control — it stays answerable during overload.
-    pub fn stats(&mut self) -> Result<aidx_telemetry::Snapshot, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
-            Reply::Stats(snapshot) => Ok(snapshot),
-            other => Err(unexpected(other, "stats snapshot")),
-        }
-    }
-
-    /// Fetch the same merged snapshot rendered as Prometheus text
-    /// exposition format — the scrape endpoint in wire form. Never shed by
-    /// admission control.
+    /// Fetch every metric the server sees rendered as Prometheus text
+    /// exposition format: each `engine.*`, `maintenance.*` and `wal.*`
+    /// metric of the served database, the `server.*` request counters and
+    /// per-opcode latency histograms, and the alert-state and index-health
+    /// gauges. Never shed by admission control — it stays answerable during
+    /// overload.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         match self.roundtrip(&Request::Metrics)? {
             Reply::MetricsText(text) => Ok(text),
@@ -131,45 +123,15 @@ impl Client {
         }
     }
 
-    /// Fetch the engine's recent sampled query traces (the trace-sampler
-    /// ring, oldest first). Never shed by admission control.
-    pub fn traces(&mut self) -> Result<Vec<aidx_telemetry::QueryTrace>, ClientError> {
-        match self.roundtrip(&Request::Traces)? {
-            Reply::Traces(traces) => Ok(traces),
-            other => Err(unexpected(other, "trace list")),
-        }
-    }
-
-    /// Fetch the engine's alerting surfaces: the current per-rule
-    /// [`aidx_telemetry::AlertStatus`] list plus the journaled
-    /// [`aidx_telemetry::AlertEvent`] transitions (oldest first). Both are
-    /// empty when the served database was built without
-    /// [`aidx_core::DatabaseBuilder::alerts`]. Never shed by admission
-    /// control — active alerts are exactly what an operator polls during an
-    /// incident.
-    pub fn alerts(
-        &mut self,
-    ) -> Result<
-        (
-            Vec<aidx_telemetry::AlertStatus>,
-            Vec<aidx_telemetry::AlertEvent>,
-        ),
-        ClientError,
-    > {
-        match self.roundtrip(&Request::Alerts)? {
-            Reply::Alerts { status, events } => Ok((status, events)),
-            other => Err(unexpected(other, "alert surfaces")),
-        }
-    }
-
-    /// Fetch the engine reporter's retained per-interval
-    /// [`aidx_telemetry::SnapshotDelta`] ring (oldest first) — the rate
-    /// history behind `STATS`, in wire form. Never shed by admission
-    /// control.
-    pub fn history(&mut self) -> Result<Vec<aidx_telemetry::SnapshotDelta>, ClientError> {
-        match self.roundtrip(&Request::History)? {
-            Reply::History(deltas) => Ok(deltas),
-            other => Err(unexpected(other, "rate history")),
+    /// Fetch the served database's [`Inspection`] (sampled traces, alert
+    /// states and journal, reporter history): the same value
+    /// [`aidx_core::Database::inspect`] returns on the server. Never shed
+    /// by admission control — active alerts are exactly what an operator
+    /// polls during an incident.
+    pub fn inspect(&mut self) -> Result<Inspection, ClientError> {
+        match self.roundtrip(&Request::Inspect)? {
+            Reply::Inspect(inspection) => Ok(inspection),
+            other => Err(unexpected(other, "inspection")),
         }
     }
 
@@ -313,26 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_merges_engine_and_server_metrics() {
-        let (server, _db) = served_db();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        client
-            .query(&Query::table("events").range("ts", 20, 80))
-            .unwrap();
-        let snapshot = client.stats().unwrap();
-        assert_eq!(snapshot.counter("server.queries_served"), Some(1));
-        assert_eq!(snapshot.counter("engine.queries_served"), Some(1));
-        let latency = snapshot.histogram("server.query_ns").unwrap();
-        assert_eq!(latency.count, 1);
-        // the wire view and the embedded stats() view read the same counters
-        assert_eq!(
-            snapshot.counter("server.queries_served").unwrap(),
-            server.stats().queries_served
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn metrics_text_is_prometheus_rendered_merged_snapshot() {
         let (server, _db) = served_db();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -348,9 +290,13 @@ mod tests {
             text.contains("engine_query_ns_bucket{le=\"+Inf\"} 1"),
             "{text}"
         );
-        // the METRICS dispatch itself is timed
-        let snapshot = client.stats().unwrap();
-        assert_eq!(snapshot.histogram("server.metrics_ns").unwrap().count, 1);
+        assert!(text.contains("server_query_ns_count 1\n"), "{text}");
+        // the wire text and the embedded Server::stats() view read the same
+        // counters
+        assert_eq!(server.stats().queries_served, 1);
+        // the METRICS dispatch itself is timed, and the next scrape sees it
+        let text = client.metrics_text().unwrap();
+        assert!(text.contains("server_metrics_ns_count 1\n"), "{text}");
         server.shutdown();
     }
 
@@ -362,8 +308,8 @@ mod tests {
         client
             .query(&Query::table("events").range("ts", 50, 150))
             .unwrap();
-        let traces = client.traces().unwrap();
-        assert_eq!(traces, db.recent_traces(), "wire view == embedded view");
+        let traces = client.inspect().unwrap().traces;
+        assert_eq!(traces, db.inspect().traces, "wire view == embedded view");
         assert_eq!(traces.len(), 1);
         assert!(traces[0].refinement_effort() > 0, "the query cracked");
         server.shutdown();
@@ -394,12 +340,12 @@ mod tests {
         let mut client = Client::connect(server.local_addr()).unwrap();
 
         // quiescent: one idle rule, empty journal, empty history ring
-        let (status, events) = client.alerts().unwrap();
-        assert_eq!(status.len(), 1);
-        assert_eq!(status[0].rule, "wire-traffic");
-        assert_eq!(status[0].state, AlertState::Idle);
-        assert!(events.is_empty());
-        assert!(client.history().unwrap().is_empty());
+        let inspection = client.inspect().unwrap();
+        assert_eq!(inspection.alerts.len(), 1);
+        assert_eq!(inspection.alerts[0].rule, "wire-traffic");
+        assert_eq!(inspection.alerts[0].state, AlertState::Idle);
+        assert!(inspection.alert_events.is_empty());
+        assert!(inspection.history.is_empty());
 
         // drive wire traffic, then complete reporter intervals: the rule's
         // counter only moves because the server instruments itself on the
@@ -412,24 +358,23 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
             db.report_tick().expect("a completed interval");
         }
-        let (status, events) = client.alerts().unwrap();
-        assert_eq!(status[0].state, AlertState::Firing);
-        assert!(status[0].times_fired >= 1);
-        assert!(!events.is_empty(), "journal travelled the wire");
+        let inspection = client.inspect().unwrap();
+        assert_eq!(inspection.alerts[0].state, AlertState::Firing);
+        assert!(inspection.alerts[0].times_fired >= 1);
+        assert!(
+            !inspection.alert_events.is_empty(),
+            "journal travelled the wire"
+        );
         // the wire view is the embedded view, field for field
-        assert_eq!(status, db.alert_status());
-        assert_eq!(events, db.alert_events());
-        let history = client.history().unwrap();
-        assert_eq!(history, db.recent_reports());
-        assert_eq!(history.len(), 2);
-        assert!(history.iter().any(|delta| delta
+        assert_eq!(inspection, db.inspect());
+        assert_eq!(inspection.history.len(), 2);
+        assert!(inspection.history.iter().any(|delta| delta
             .counters
             .iter()
             .any(|c| c.name == "server.queries_served" && c.delta > 0)));
-        // the new dispatch arms are themselves timed
-        let snapshot = client.stats().unwrap();
-        assert!(snapshot.histogram("server.alerts_ns").unwrap().count >= 2);
-        assert!(snapshot.histogram("server.history_ns").unwrap().count >= 2);
+        // the INSPECT dispatch arm is itself timed
+        let text = client.metrics_text().unwrap();
+        assert!(text.contains("server_inspect_ns_count 2\n"), "{text}");
         server.shutdown();
     }
 

@@ -149,32 +149,23 @@ fn dispatch(shared: &Shared, session: &Session, payload: &[u8]) -> Reply {
             shared.counters.batch_ns.record_duration(started.elapsed());
             Reply::Batch(items)
         }
-        // STATS is never shed: it is the tool an operator reaches for
-        // *during* overload, it does no engine work, and its cost is one
-        // registry sweep — shedding it would blind exactly the person
-        // trying to diagnose the shedding.
-        Request::Stats => {
+        // METRICS and INSPECT are never shed: they are the scrape and
+        // diagnosis endpoints an operator reaches for *during* overload,
+        // neither does engine work, and shedding them would blind exactly
+        // the person trying to diagnose the shedding.
+        Request::Metrics => {
             let started = Instant::now();
             // the server's counters live on the engine's registry (see
             // `Server::start`), so one engine snapshot already carries both
-            // `engine.*` and `server.*` — merging a second registry sweep
-            // here would double-count every server instrument
-            let snapshot = shared.db.telemetry().metrics;
-            shared.counters.stats_ns.record_duration(started.elapsed());
-            Reply::Stats(snapshot)
-        }
-        // METRICS and TRACES share STATS's exemption: they are the scrape
-        // and diagnosis endpoints an operator leans on during overload, and
-        // neither does engine work.
-        Request::Metrics => {
-            let started = Instant::now();
+            // `engine.*` and `server.*`
             let mut text = shared.db.telemetry().metrics.render_prometheus();
             text.push_str(&render_labeled_gauge(
                 "aidx_alert_firing",
                 "Alert rule state: 0 idle, 1 pending, 2 firing.",
                 &shared
                     .db
-                    .alert_status()
+                    .inspect()
+                    .alerts
                     .iter()
                     .map(|status| LabeledSample {
                         labels: vec![("rule".into(), status.rule.clone())],
@@ -204,30 +195,14 @@ fn dispatch(shared: &Shared, session: &Session, payload: &[u8]) -> Reply {
                 .record_duration(started.elapsed());
             Reply::MetricsText(text)
         }
-        Request::Traces => {
+        Request::Inspect => {
             let started = Instant::now();
-            let traces = shared.db.recent_traces();
-            shared.counters.traces_ns.record_duration(started.elapsed());
-            Reply::Traces(traces)
-        }
-        // ALERTS and HISTORY extend the same exemption: during an incident
-        // the active alerts and the recent rate history are precisely what
-        // the operator (or a supervising process) is polling for.
-        Request::Alerts => {
-            let started = Instant::now();
-            let status = shared.db.alert_status();
-            let events = shared.db.alert_events();
-            shared.counters.alerts_ns.record_duration(started.elapsed());
-            Reply::Alerts { status, events }
-        }
-        Request::History => {
-            let started = Instant::now();
-            let deltas = shared.db.recent_reports();
+            let inspection = shared.db.inspect();
             shared
                 .counters
-                .history_ns
+                .inspect_ns
                 .record_duration(started.elapsed());
-            Reply::History(deltas)
+            Reply::Inspect(inspection)
         }
     }
 }

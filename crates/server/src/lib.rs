@@ -11,10 +11,10 @@
 //! The crate has three faces:
 //!
 //! * [`protocol`] — a compact length-prefixed binary protocol
-//!   (PING/QUERY/INSERT/BATCH request frames plus the never-shed
-//!   observability opcodes STATS/METRICS/TRACES/ALERTS/HISTORY; typed
-//!   reply frames including structured errors and an explicit OVERLOADED
-//!   shed signal).
+//!   (PING/QUERY/INSERT/BATCH request frames plus the two never-shed
+//!   introspection opcodes: METRICS, the Prometheus text scrape, and
+//!   INSPECT, the engine's [`aidx_core::Inspection`]; typed reply frames
+//!   including structured errors and an explicit OVERLOADED shed signal).
 //!   Every decoder is total: hostile bytes produce typed errors, never
 //!   panics or unbounded allocations.
 //! * [`Server`] — a bounded acceptor plus one connection worker (and one

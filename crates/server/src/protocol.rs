@@ -16,10 +16,10 @@
 //! before any allocation is sized from them.
 
 use aidx_columnstore::types::{RowId, Value};
-use aidx_core::{Aggregation, Predicate, Query, QueryResult};
+use aidx_core::{Aggregation, Inspection, Predicate, Query, QueryResult};
 use aidx_telemetry::{
-    AlertEvent, AlertEventKind, AlertState, AlertStatus, CounterDelta, CounterSnapshot, GaugeDelta,
-    GaugeSnapshot, HistogramSnapshot, QueryTrace, Snapshot, SnapshotDelta, SpanEvent,
+    AlertEvent, AlertEventKind, AlertState, AlertStatus, CounterDelta, GaugeDelta,
+    HistogramSnapshot, QueryTrace, SnapshotDelta, SpanEvent, HISTOGRAM_BUCKETS,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -32,31 +32,27 @@ pub const FRAME_HEADER_BYTES: usize = 4;
 /// length prefix cannot make the server allocate gigabytes.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
-// Request opcodes (client → server).
+// Request opcodes (client → server). 0x05 and 0x07..=0x09 are retired
+// introspection opcodes: they decode as unknown and are never reused.
 const OP_PING: u8 = 0x01;
 const OP_QUERY: u8 = 0x02;
 const OP_INSERT: u8 = 0x03;
 const OP_BATCH: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
 const OP_METRICS: u8 = 0x06;
-const OP_TRACES: u8 = 0x07;
-const OP_ALERTS: u8 = 0x08;
-const OP_HISTORY: u8 = 0x09;
+const OP_INSPECT: u8 = 0x0A;
 
-// Reply opcodes (server → client).
+// Reply opcodes (server → client). 0x87 and 0x89..=0x8B are retired
+// likewise.
 const OP_PONG: u8 = 0x81;
 const OP_RESULT: u8 = 0x82;
 const OP_ERROR: u8 = 0x83;
 const OP_OVERLOADED: u8 = 0x84;
 const OP_INSERTED: u8 = 0x85;
 const OP_BATCH_RESULT: u8 = 0x86;
-const OP_STATS_RESULT: u8 = 0x87;
 const OP_METRICS_TEXT: u8 = 0x88;
-const OP_TRACES_RESULT: u8 = 0x89;
-const OP_ALERTS_RESULT: u8 = 0x8A;
-const OP_HISTORY_RESULT: u8 = 0x8B;
+const OP_INSPECT_RESULT: u8 = 0x8C;
 
-// Span-event tags inside a TRACES reply.
+// Span-event tags inside the traces section of an INSPECT reply.
 const SPAN_PLAN: u8 = 0;
 const SPAN_INDEX_PROBE: u8 = 1;
 const SPAN_ZONE_MAP_PRUNE: u8 = 2;
@@ -87,6 +83,14 @@ pub enum FrameError {
         /// The claimed element count.
         count: u64,
     },
+    /// A count field holds a value the message never carries (a
+    /// histogram's bucket count must be [`HISTOGRAM_BUCKETS`]).
+    BadCount {
+        /// What was being counted.
+        what: &'static str,
+        /// The claimed element count.
+        count: u64,
+    },
 }
 
 impl fmt::Display for FrameError {
@@ -100,6 +104,9 @@ impl fmt::Display for FrameError {
             }
             FrameError::CountOverflow { what, count } => {
                 write!(f, "{what} count {count} exceeds the payload")
+            }
+            FrameError::BadCount { what, count } => {
+                write!(f, "{what} count {count} is invalid")
             }
         }
     }
@@ -217,28 +224,17 @@ pub enum Request {
     /// per-request overhead; answered with [`Reply::Batch`] (per-query
     /// results) or [`Reply::Overloaded`] for the whole batch.
     Batch(Vec<Query>),
-    /// Fetch the merged telemetry snapshot (engine metrics plus the
-    /// server's own `server.*` metrics); answered with [`Reply::Stats`].
-    /// Never shed by admission control — an operator must be able to see a
-    /// saturated server.
-    Stats,
-    /// Fetch the same merged snapshot rendered as Prometheus text
-    /// exposition format; answered with [`Reply::MetricsText`]. Like
-    /// [`Request::Stats`], never shed.
+    /// Fetch every engine and server metric (the engine's registry carries
+    /// the server's own `server.*` metrics) rendered as Prometheus text
+    /// exposition format; answered with [`Reply::MetricsText`]. Never shed
+    /// by admission control — an operator must be able to see a saturated
+    /// server.
     Metrics,
-    /// Fetch the engine's recent sampled query traces (the trace-sampler
-    /// ring, oldest first); answered with [`Reply::Traces`]. Like
-    /// [`Request::Stats`], never shed.
-    Traces,
-    /// Fetch the alert engine's per-rule live states plus its bounded
-    /// event journal; answered with [`Reply::Alerts`] (both empty when the
-    /// database was built without alerting). Like [`Request::Stats`],
-    /// never shed — alerts exist precisely to be readable under duress.
-    Alerts,
-    /// Fetch the reporter's retained rate history (the delta ring, oldest
-    /// first); answered with [`Reply::History`]. Like [`Request::Stats`],
-    /// never shed.
-    History,
+    /// Fetch the served database's [`Inspection`]: sampled query traces,
+    /// alert states and journal, and the reporter's interval history;
+    /// answered with [`Reply::Inspect`]. Like [`Request::Metrics`], never
+    /// shed.
+    Inspect,
 }
 
 /// A server → client message.
@@ -267,26 +263,12 @@ pub enum Reply {
     },
     /// Per-query outcomes of a [`Request::Batch`], in request order.
     Batch(Vec<BatchItem>),
-    /// Answer to [`Request::Stats`]: every engine and server metric at one
-    /// point in time (counter/gauge/histogram triples, sorted by name).
-    Stats(Snapshot),
-    /// Answer to [`Request::Metrics`]: the merged snapshot rendered as
-    /// Prometheus text exposition format, ready to proxy to a scraper.
+    /// Answer to [`Request::Metrics`]: every metric rendered as Prometheus
+    /// text exposition format, ready to proxy to a scraper.
     MetricsText(String),
-    /// Answer to [`Request::Traces`]: recent sampled query traces, oldest
-    /// first.
-    Traces(Vec<QueryTrace>),
-    /// Answer to [`Request::Alerts`]: per-rule live states (rule order)
-    /// plus the event journal (oldest first).
-    Alerts {
-        /// One live status per configured rule.
-        status: Vec<AlertStatus>,
-        /// The journal: every recorded state transition, oldest first.
-        events: Vec<AlertEvent>,
-    },
-    /// Answer to [`Request::History`]: the reporter's retained snapshot
-    /// deltas, oldest first.
-    History(Vec<SnapshotDelta>),
+    /// Answer to [`Request::Inspect`]: exactly the value
+    /// [`aidx_core::Database::inspect`] returned on the server.
+    Inspect(Inspection),
 }
 
 /// One query's outcome inside a [`Reply::Batch`].
@@ -461,26 +443,11 @@ fn put_wire_error(buf: &mut Vec<u8>, error: &WireError) {
     put_str(buf, &error.message);
 }
 
-fn put_snapshot(buf: &mut Vec<u8>, snapshot: &Snapshot) {
-    put_u32(buf, snapshot.counters.len() as u32);
-    for counter in &snapshot.counters {
-        put_str(buf, &counter.name);
-        put_u64(buf, counter.value);
-    }
-    put_u32(buf, snapshot.gauges.len() as u32);
-    for gauge in &snapshot.gauges {
-        put_str(buf, &gauge.name);
-        put_i64(buf, gauge.value);
-    }
-    put_u32(buf, snapshot.histograms.len() as u32);
-    for histogram in &snapshot.histograms {
-        put_str(buf, &histogram.name);
-        put_u64(buf, histogram.count);
-        put_u64(buf, histogram.sum);
-        put_u32(buf, histogram.buckets.len() as u32);
-        for &bucket in &histogram.buckets {
-            put_u64(buf, bucket);
-        }
+/// A `u32` element count followed by each element.
+fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        put(buf, item);
     }
 }
 
@@ -515,103 +482,98 @@ fn put_alert_event(buf: &mut Vec<u8>, event: &AlertEvent) {
     put_u8(buf, alert_event_kind_tag(event.kind));
     put_u64(buf, event.tick);
     put_str(buf, &event.observed);
-    put_u32(buf, event.columns.len() as u32);
-    for column in &event.columns {
-        put_str(buf, column);
-    }
+    put_seq(buf, &event.columns, |buf, column| put_str(buf, column));
 }
 
 fn put_delta(buf: &mut Vec<u8>, delta: &SnapshotDelta) {
     put_u64(buf, delta.interval_ns);
-    put_u32(buf, delta.counters.len() as u32);
-    for counter in &delta.counters {
+    put_seq(buf, &delta.counters, |buf, counter| {
         put_str(buf, &counter.name);
         put_u64(buf, counter.delta);
-    }
-    put_u32(buf, delta.gauges.len() as u32);
-    for gauge in &delta.gauges {
+    });
+    put_seq(buf, &delta.gauges, |buf, gauge| {
         put_str(buf, &gauge.name);
         put_i64(buf, gauge.level);
         put_i64(buf, gauge.delta);
-    }
-    put_u32(buf, delta.histograms.len() as u32);
-    for histogram in &delta.histograms {
+    });
+    put_seq(buf, &delta.histograms, |buf, histogram| {
         put_str(buf, &histogram.name);
         put_u64(buf, histogram.count);
         put_u64(buf, histogram.sum);
-        put_u32(buf, histogram.buckets.len() as u32);
-        for &bucket in &histogram.buckets {
-            put_u64(buf, bucket);
-        }
-    }
+        put_seq(buf, &histogram.buckets, |buf, bucket| put_u64(buf, *bucket));
+    });
+}
+
+fn put_inspection(buf: &mut Vec<u8>, inspection: &Inspection) {
+    put_seq(buf, &inspection.traces, put_trace);
+    put_seq(buf, &inspection.alerts, put_alert_status);
+    put_seq(buf, &inspection.alert_events, put_alert_event);
+    put_seq(buf, &inspection.history, put_delta);
 }
 
 fn put_trace(buf: &mut Vec<u8>, trace: &QueryTrace) {
     put_u64(buf, trace.elapsed_ns);
-    put_u32(buf, trace.events.len() as u32);
-    for event in &trace.events {
-        match event {
-            SpanEvent::Plan {
-                driver_column,
-                estimated_selectivity,
-                residual_predicates,
-            } => {
-                put_u8(buf, SPAN_PLAN);
-                match driver_column {
-                    None => put_u8(buf, 0),
-                    Some(column) => {
-                        put_u8(buf, 1);
-                        put_str(buf, column);
-                    }
+    put_seq(buf, &trace.events, |buf, event| match event {
+        SpanEvent::Plan {
+            driver_column,
+            estimated_selectivity,
+            residual_predicates,
+        } => {
+            put_u8(buf, SPAN_PLAN);
+            match driver_column {
+                None => put_u8(buf, 0),
+                Some(column) => {
+                    put_u8(buf, 1);
+                    put_str(buf, column);
                 }
-                put_u64(buf, estimated_selectivity.to_bits());
-                put_u64(buf, *residual_predicates);
             }
-            SpanEvent::IndexProbe {
-                column,
-                strategy,
-                probes,
-                pieces_before,
-                pieces_after,
-                effort_delta,
-                rebuilt,
-                lagging_scan,
-            } => {
-                put_u8(buf, SPAN_INDEX_PROBE);
-                put_str(buf, column);
-                put_str(buf, strategy);
-                put_u64(buf, *probes);
-                put_u64(buf, *pieces_before);
-                put_u64(buf, *pieces_after);
-                put_u64(buf, *effort_delta);
-                put_u8(buf, u8::from(*rebuilt));
-                put_u8(buf, u8::from(*lagging_scan));
-            }
-            SpanEvent::ZoneMapPrune {
-                chunks_scanned,
-                chunks_pruned,
-            } => {
-                put_u8(buf, SPAN_ZONE_MAP_PRUNE);
-                put_u64(buf, *chunks_scanned);
-                put_u64(buf, *chunks_pruned);
-            }
-            SpanEvent::ResidualFilter {
-                column,
-                candidates_in,
-                rows_out,
-            } => {
-                put_u8(buf, SPAN_RESIDUAL_FILTER);
-                put_str(buf, column);
-                put_u64(buf, *candidates_in);
-                put_u64(buf, *rows_out);
-            }
-            SpanEvent::Materialize { rows, aggregated } => {
-                put_u8(buf, SPAN_MATERIALIZE);
-                put_u64(buf, *rows);
-                put_u8(buf, u8::from(*aggregated));
-            }
+            put_u64(buf, estimated_selectivity.to_bits());
+            put_u64(buf, *residual_predicates);
         }
-    }
+        SpanEvent::IndexProbe {
+            column,
+            strategy,
+            probes,
+            pieces_before,
+            pieces_after,
+            effort_delta,
+            rebuilt,
+            lagging_scan,
+        } => {
+            put_u8(buf, SPAN_INDEX_PROBE);
+            put_str(buf, column);
+            put_str(buf, strategy);
+            put_u64(buf, *probes);
+            put_u64(buf, *pieces_before);
+            put_u64(buf, *pieces_after);
+            put_u64(buf, *effort_delta);
+            put_u8(buf, u8::from(*rebuilt));
+            put_u8(buf, u8::from(*lagging_scan));
+        }
+        SpanEvent::ZoneMapPrune {
+            chunks_scanned,
+            chunks_pruned,
+        } => {
+            put_u8(buf, SPAN_ZONE_MAP_PRUNE);
+            put_u64(buf, *chunks_scanned);
+            put_u64(buf, *chunks_pruned);
+        }
+        SpanEvent::ResidualFilter {
+            column,
+            candidates_in,
+            rows_out,
+        } => {
+            put_u8(buf, SPAN_RESIDUAL_FILTER);
+            put_str(buf, column);
+            put_u64(buf, *candidates_in);
+            put_u64(buf, *rows_out);
+        }
+        SpanEvent::Materialize { rows, aggregated } => {
+            put_u8(buf, SPAN_MATERIALIZE);
+            put_u64(buf, *rows);
+            put_u8(buf, u8::from(*aggregated));
+        }
+    });
 }
 
 impl Request {
@@ -639,11 +601,8 @@ impl Request {
                     put_query(&mut buf, query);
                 }
             }
-            Request::Stats => put_u8(&mut buf, OP_STATS),
             Request::Metrics => put_u8(&mut buf, OP_METRICS),
-            Request::Traces => put_u8(&mut buf, OP_TRACES),
-            Request::Alerts => put_u8(&mut buf, OP_ALERTS),
-            Request::History => put_u8(&mut buf, OP_HISTORY),
+            Request::Inspect => put_u8(&mut buf, OP_INSPECT),
         }
         buf
     }
@@ -672,11 +631,8 @@ impl Request {
                 }
                 Request::Batch(queries)
             }
-            OP_STATS => Request::Stats,
             OP_METRICS => Request::Metrics,
-            OP_TRACES => Request::Traces,
-            OP_ALERTS => Request::Alerts,
-            OP_HISTORY => Request::History,
+            OP_INSPECT => Request::Inspect,
             tag => {
                 return Err(FrameError::UnknownTag {
                     what: "request opcode",
@@ -728,38 +684,13 @@ impl Reply {
                     }
                 }
             }
-            Reply::Stats(snapshot) => {
-                put_u8(&mut buf, OP_STATS_RESULT);
-                put_snapshot(&mut buf, snapshot);
-            }
             Reply::MetricsText(text) => {
                 put_u8(&mut buf, OP_METRICS_TEXT);
                 put_str(&mut buf, text);
             }
-            Reply::Traces(traces) => {
-                put_u8(&mut buf, OP_TRACES_RESULT);
-                put_u32(&mut buf, traces.len() as u32);
-                for trace in traces {
-                    put_trace(&mut buf, trace);
-                }
-            }
-            Reply::Alerts { status, events } => {
-                put_u8(&mut buf, OP_ALERTS_RESULT);
-                put_u32(&mut buf, status.len() as u32);
-                for s in status {
-                    put_alert_status(&mut buf, s);
-                }
-                put_u32(&mut buf, events.len() as u32);
-                for event in events {
-                    put_alert_event(&mut buf, event);
-                }
-            }
-            Reply::History(deltas) => {
-                put_u8(&mut buf, OP_HISTORY_RESULT);
-                put_u32(&mut buf, deltas.len() as u32);
-                for delta in deltas {
-                    put_delta(&mut buf, delta);
-                }
+            Reply::Inspect(inspection) => {
+                put_u8(&mut buf, OP_INSPECT_RESULT);
+                put_inspection(&mut buf, inspection);
             }
         }
         buf
@@ -797,44 +728,8 @@ impl Reply {
                 }
                 Reply::Batch(items)
             }
-            OP_STATS_RESULT => Reply::Stats(take_snapshot(&mut r)?),
             OP_METRICS_TEXT => Reply::MetricsText(r.take_str()?),
-            OP_TRACES_RESULT => {
-                // minimum encoded trace: 8-byte elapsed + 4-byte event count
-                let count = r.take_count("trace", 12)?;
-                let mut traces = Vec::with_capacity(count);
-                for _ in 0..count {
-                    traces.push(take_trace(&mut r)?);
-                }
-                Reply::Traces(traces)
-            }
-            OP_ALERTS_RESULT => {
-                // minimum encoded status: two 4-byte string prefixes +
-                // 1-byte state + two 4-byte streak counts + 8-byte fired
-                let status_len = r.take_count("alert status", 25)?;
-                let mut status = Vec::with_capacity(status_len);
-                for _ in 0..status_len {
-                    status.push(take_alert_status(&mut r)?);
-                }
-                // minimum encoded event: two string prefixes + 1-byte kind
-                // + 8-byte tick + 4-byte column count
-                let events_len = r.take_count("alert event", 21)?;
-                let mut events = Vec::with_capacity(events_len);
-                for _ in 0..events_len {
-                    events.push(take_alert_event(&mut r)?);
-                }
-                Reply::Alerts { status, events }
-            }
-            OP_HISTORY_RESULT => {
-                // minimum encoded delta: 8-byte interval + three 4-byte
-                // section counts
-                let count = r.take_count("history delta", 20)?;
-                let mut deltas = Vec::with_capacity(count);
-                for _ in 0..count {
-                    deltas.push(take_delta(&mut r)?);
-                }
-                Reply::History(deltas)
-            }
+            OP_INSPECT_RESULT => Reply::Inspect(take_inspection(&mut r)?),
             tag => {
                 return Err(FrameError::UnknownTag {
                     what: "reply opcode",
@@ -1051,47 +946,33 @@ fn take_wire_error(r: &mut Reader<'_>) -> Result<WireError, FrameError> {
     Ok(WireError { code, message })
 }
 
-fn take_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, FrameError> {
-    // minimum encoded sizes: counter = 4-byte name prefix + 8-byte value,
-    // gauge likewise, histogram = name prefix + count + sum + bucket count
-    let counters_len = r.take_count("counter", 12)?;
-    let mut counters = Vec::with_capacity(counters_len);
-    for _ in 0..counters_len {
-        counters.push(CounterSnapshot {
-            name: r.take_str()?,
-            value: r.take_u64()?,
-        });
+/// A `u32` element count (validated by [`Reader::take_count`] against
+/// `min_bytes_each`) followed by each element.
+fn take_seq<'a, T>(
+    r: &mut Reader<'a>,
+    what: &'static str,
+    min_bytes_each: usize,
+    take: impl Fn(&mut Reader<'a>) -> Result<T, FrameError>,
+) -> Result<Vec<T>, FrameError> {
+    let count = r.take_count(what, min_bytes_each)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(take(r)?);
     }
-    let gauges_len = r.take_count("gauge", 12)?;
-    let mut gauges = Vec::with_capacity(gauges_len);
-    for _ in 0..gauges_len {
-        gauges.push(GaugeSnapshot {
-            name: r.take_str()?,
-            value: r.take_i64()?,
-        });
-    }
-    let histograms_len = r.take_count("histogram", 24)?;
-    let mut histograms = Vec::with_capacity(histograms_len);
-    for _ in 0..histograms_len {
-        let name = r.take_str()?;
-        let count = r.take_u64()?;
-        let sum = r.take_u64()?;
-        let buckets_len = r.take_count("histogram bucket", 8)?;
-        let mut buckets = Vec::with_capacity(buckets_len);
-        for _ in 0..buckets_len {
-            buckets.push(r.take_u64()?);
-        }
-        histograms.push(HistogramSnapshot {
-            name,
-            count,
-            sum,
-            buckets,
-        });
-    }
-    Ok(Snapshot {
-        counters,
-        gauges,
-        histograms,
+    Ok(items)
+}
+
+fn take_inspection(r: &mut Reader<'_>) -> Result<Inspection, FrameError> {
+    // minimum encoded sizes: trace = 8-byte elapsed + 4-byte event count;
+    // status = two 4-byte string prefixes + 1-byte state + two 4-byte
+    // streak counts + 8-byte fired; event = two string prefixes + 1-byte
+    // kind + 8-byte tick + 4-byte column count; delta = 8-byte interval +
+    // three 4-byte section counts
+    Ok(Inspection {
+        traces: take_seq(r, "trace", 12, take_trace)?,
+        alerts: take_seq(r, "alert status", 25, take_alert_status)?,
+        alert_events: take_seq(r, "alert event", 21, take_alert_event)?,
+        history: take_seq(r, "history delta", 20, take_delta)?,
     })
 }
 
@@ -1132,68 +1013,63 @@ fn take_alert_event(r: &mut Reader<'_>) -> Result<AlertEvent, FrameError> {
             })
         }
     };
-    let tick = r.take_u64()?;
-    let observed = r.take_str()?;
-    // minimum encoded column: its 4-byte string length prefix
-    let columns_len = r.take_count("alert column", 4)?;
-    let mut columns = Vec::with_capacity(columns_len);
-    for _ in 0..columns_len {
-        columns.push(r.take_str()?);
-    }
     Ok(AlertEvent {
         rule,
         kind,
-        tick,
-        observed,
-        columns,
+        tick: r.take_u64()?,
+        observed: r.take_str()?,
+        // minimum encoded column: its 4-byte string length prefix
+        columns: take_seq(r, "alert column", 4, Reader::take_str)?,
     })
 }
 
 fn take_delta(r: &mut Reader<'_>) -> Result<SnapshotDelta, FrameError> {
-    let interval_ns = r.take_u64()?;
-    // minimum encoded counter delta: 4-byte name prefix + 8-byte delta
-    let counters_len = r.take_count("counter delta", 12)?;
-    let mut counters = Vec::with_capacity(counters_len);
-    for _ in 0..counters_len {
-        counters.push(CounterDelta {
-            name: r.take_str()?,
-            delta: r.take_u64()?,
-        });
-    }
-    // minimum encoded gauge delta: name prefix + level + delta
-    let gauges_len = r.take_count("gauge delta", 20)?;
-    let mut gauges = Vec::with_capacity(gauges_len);
-    for _ in 0..gauges_len {
-        gauges.push(GaugeDelta {
-            name: r.take_str()?,
-            level: r.take_i64()?,
-            delta: r.take_i64()?,
-        });
-    }
-    // windowed histograms share the cumulative snapshot's encoding
-    let histograms_len = r.take_count("windowed histogram", 24)?;
-    let mut histograms = Vec::with_capacity(histograms_len);
-    for _ in 0..histograms_len {
-        let name = r.take_str()?;
-        let count = r.take_u64()?;
-        let sum = r.take_u64()?;
-        let buckets_len = r.take_count("windowed histogram bucket", 8)?;
-        let mut buckets = Vec::with_capacity(buckets_len);
-        for _ in 0..buckets_len {
-            buckets.push(r.take_u64()?);
-        }
-        histograms.push(HistogramSnapshot {
-            name,
-            count,
-            sum,
-            buckets,
-        });
-    }
     Ok(SnapshotDelta {
-        interval_ns,
-        counters,
-        gauges,
-        histograms,
+        interval_ns: r.take_u64()?,
+        // minimum encoded counter delta: 4-byte name prefix + 8-byte delta
+        counters: take_seq(r, "counter delta", 12, |r| {
+            Ok(CounterDelta {
+                name: r.take_str()?,
+                delta: r.take_u64()?,
+            })
+        })?,
+        // minimum encoded gauge delta: name prefix + level + delta
+        gauges: take_seq(r, "gauge delta", 20, |r| {
+            Ok(GaugeDelta {
+                name: r.take_str()?,
+                level: r.take_i64()?,
+                delta: r.take_i64()?,
+            })
+        })?,
+        // minimum encoded histogram: name prefix + count + sum + bucket
+        // count (the bucket count itself is checked exactly)
+        histograms: take_seq(r, "windowed histogram", 24, take_histogram)?,
+    })
+}
+
+/// A windowed histogram. The engine always emits exactly
+/// [`HISTOGRAM_BUCKETS`] buckets, and any other count is rejected: the
+/// quantile readout indexes bucket bounds by position, so a longer vector
+/// would decode into a value that cannot be used.
+fn take_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
+    let name = r.take_str()?;
+    let count = r.take_u64()?;
+    let sum = r.take_u64()?;
+    let buckets_len = r.take_u32()?;
+    if buckets_len as usize != HISTOGRAM_BUCKETS {
+        return Err(FrameError::BadCount {
+            what: "histogram bucket",
+            count: u64::from(buckets_len),
+        });
+    }
+    let buckets = (0..HISTOGRAM_BUCKETS)
+        .map(|_| r.take_u64())
+        .collect::<Result<_, _>>()?;
+    Ok(HistogramSnapshot {
+        name,
+        count,
+        sum,
+        buckets,
     })
 }
 
@@ -1209,51 +1085,50 @@ fn take_trace(r: &mut Reader<'_>) -> Result<QueryTrace, FrameError> {
     let elapsed_ns = r.take_u64()?;
     // minimum encoded span event: 1-byte tag + 8-byte rows + 1-byte flag
     // (Materialize, the smallest variant)
-    let events_len = r.take_count("span event", 10)?;
-    let mut events = Vec::with_capacity(events_len);
-    for _ in 0..events_len {
-        let event = match r.take_u8()? {
-            SPAN_PLAN => SpanEvent::Plan {
-                driver_column: match take_bool(r, "driver column presence")? {
-                    false => None,
-                    true => Some(r.take_str()?),
-                },
-                estimated_selectivity: f64::from_bits(r.take_u64()?),
-                residual_predicates: r.take_u64()?,
-            },
-            SPAN_INDEX_PROBE => SpanEvent::IndexProbe {
-                column: r.take_str()?,
-                strategy: r.take_str()?,
-                probes: r.take_u64()?,
-                pieces_before: r.take_u64()?,
-                pieces_after: r.take_u64()?,
-                effort_delta: r.take_u64()?,
-                rebuilt: take_bool(r, "rebuilt flag")?,
-                lagging_scan: take_bool(r, "lagging-scan flag")?,
-            },
-            SPAN_ZONE_MAP_PRUNE => SpanEvent::ZoneMapPrune {
-                chunks_scanned: r.take_u64()?,
-                chunks_pruned: r.take_u64()?,
-            },
-            SPAN_RESIDUAL_FILTER => SpanEvent::ResidualFilter {
-                column: r.take_str()?,
-                candidates_in: r.take_u64()?,
-                rows_out: r.take_u64()?,
-            },
-            SPAN_MATERIALIZE => SpanEvent::Materialize {
-                rows: r.take_u64()?,
-                aggregated: take_bool(r, "aggregated flag")?,
-            },
-            tag => {
-                return Err(FrameError::UnknownTag {
-                    what: "span event",
-                    tag,
-                })
-            }
-        };
-        events.push(event);
-    }
+    let events = take_seq(r, "span event", 10, take_span_event)?;
     Ok(QueryTrace { events, elapsed_ns })
+}
+
+fn take_span_event(r: &mut Reader<'_>) -> Result<SpanEvent, FrameError> {
+    Ok(match r.take_u8()? {
+        SPAN_PLAN => SpanEvent::Plan {
+            driver_column: match take_bool(r, "driver column presence")? {
+                false => None,
+                true => Some(r.take_str()?),
+            },
+            estimated_selectivity: f64::from_bits(r.take_u64()?),
+            residual_predicates: r.take_u64()?,
+        },
+        SPAN_INDEX_PROBE => SpanEvent::IndexProbe {
+            column: r.take_str()?,
+            strategy: r.take_str()?,
+            probes: r.take_u64()?,
+            pieces_before: r.take_u64()?,
+            pieces_after: r.take_u64()?,
+            effort_delta: r.take_u64()?,
+            rebuilt: take_bool(r, "rebuilt flag")?,
+            lagging_scan: take_bool(r, "lagging-scan flag")?,
+        },
+        SPAN_ZONE_MAP_PRUNE => SpanEvent::ZoneMapPrune {
+            chunks_scanned: r.take_u64()?,
+            chunks_pruned: r.take_u64()?,
+        },
+        SPAN_RESIDUAL_FILTER => SpanEvent::ResidualFilter {
+            column: r.take_str()?,
+            candidates_in: r.take_u64()?,
+            rows_out: r.take_u64()?,
+        },
+        SPAN_MATERIALIZE => SpanEvent::Materialize {
+            rows: r.take_u64()?,
+            aggregated: take_bool(r, "aggregated flag")?,
+        },
+        tag => {
+            return Err(FrameError::UnknownTag {
+                what: "span event",
+                tag,
+            })
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1409,70 +1284,6 @@ mod tests {
         }
     }
 
-    fn sample_snapshot() -> Snapshot {
-        Snapshot {
-            counters: vec![
-                CounterSnapshot {
-                    name: "engine.queries_served".into(),
-                    value: 42,
-                },
-                CounterSnapshot {
-                    name: "server.requests_shed".into(),
-                    value: 0,
-                },
-            ],
-            gauges: vec![GaugeSnapshot {
-                name: "server.connections".into(),
-                value: -1,
-            }],
-            histograms: vec![HistogramSnapshot {
-                name: "server.request_ns".into(),
-                count: 3,
-                sum: 3000,
-                buckets: vec![0, 1, 2],
-            }],
-        }
-    }
-
-    #[test]
-    fn stats_request_and_reply_roundtrip() {
-        let request = Request::Stats;
-        assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        for reply in [
-            Reply::Stats(sample_snapshot()),
-            Reply::Stats(Snapshot::default()),
-        ] {
-            let encoded = reply.encode();
-            assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_stats_replies_are_typed_errors() {
-        let encoded = Reply::Stats(sample_snapshot()).encode();
-        for cut in [1, 5, 20, encoded.len() - 1] {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // a histogram claiming 4 billion buckets in a tiny payload
-        let mut buf = vec![OP_STATS_RESULT];
-        put_u32(&mut buf, 0); // counters
-        put_u32(&mut buf, 0); // gauges
-        put_u32(&mut buf, 1); // histograms
-        put_str(&mut buf, "h");
-        put_u64(&mut buf, 1);
-        put_u64(&mut buf, 1);
-        put_u32(&mut buf, u32::MAX); // hostile bucket count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-    }
-
     fn sample_trace() -> QueryTrace {
         QueryTrace {
             events: vec![
@@ -1509,9 +1320,90 @@ mod tests {
         }
     }
 
+    fn sample_alerts() -> (Vec<AlertStatus>, Vec<AlertEvent>) {
+        let status = vec![
+            AlertStatus {
+                rule: "shed-spike".into(),
+                state: AlertState::Firing,
+                consecutive_breaches: 3,
+                healthy_intervals: 0,
+                observed: "server.requests_shed rate 120.0/s > 50.0/s".into(),
+                times_fired: 2,
+            },
+            AlertStatus {
+                rule: "column-stalled".into(),
+                state: AlertState::Idle,
+                consecutive_breaches: 0,
+                healthy_intervals: 0,
+                observed: String::new(),
+                times_fired: 0,
+            },
+        ];
+        let events = vec![
+            AlertEvent {
+                rule: "shed-spike".into(),
+                kind: AlertEventKind::Pending,
+                tick: 4,
+                observed: "naïve ★ evidence".into(),
+                columns: vec![],
+            },
+            AlertEvent {
+                rule: "column-stalled".into(),
+                kind: AlertEventKind::Firing,
+                tick: 9,
+                observed: "verdict stalled".into(),
+                columns: vec!["t.o_key".into(), "t.o_value".into()],
+            },
+        ];
+        (status, events)
+    }
+
+    fn sample_history() -> Vec<SnapshotDelta> {
+        let mut buckets = vec![0; HISTOGRAM_BUCKETS];
+        buckets[1] = 7;
+        buckets[17] = 35;
+        vec![
+            SnapshotDelta {
+                interval_ns: 1_000_000,
+                counters: vec![CounterDelta {
+                    name: "engine.queries_served".into(),
+                    delta: 42,
+                }],
+                gauges: vec![GaugeDelta {
+                    name: "server.connections".into(),
+                    level: -3,
+                    delta: i64::MIN,
+                }],
+                histograms: vec![HistogramSnapshot {
+                    name: "engine.query_ns".into(),
+                    count: 42,
+                    sum: 123_456,
+                    buckets,
+                }],
+            },
+            SnapshotDelta {
+                interval_ns: 0,
+                counters: vec![],
+                gauges: vec![],
+                histograms: vec![],
+            },
+        ]
+    }
+
+    /// An inspection with all four sections non-empty.
+    fn sample_inspection() -> Inspection {
+        let (alerts, alert_events) = sample_alerts();
+        Inspection {
+            traces: vec![sample_trace()],
+            alerts,
+            alert_events,
+            history: sample_history(),
+        }
+    }
+
     #[test]
     fn metrics_and_traces_requests_and_replies_roundtrip() {
-        for request in [Request::Metrics, Request::Traces] {
+        for request in [Request::Metrics, Request::Inspect] {
             assert_eq!(Request::decode(&request.encode()).unwrap(), request);
         }
         let planless = QueryTrace {
@@ -1525,8 +1417,11 @@ mod tests {
         let replies = [
             Reply::MetricsText(String::new()),
             Reply::MetricsText("# TYPE engine_queries_served counter\nnaïve 1\n".into()),
-            Reply::Traces(Vec::new()),
-            Reply::Traces(vec![sample_trace(), planless]),
+            Reply::Inspect(Inspection::default()),
+            Reply::Inspect(Inspection {
+                traces: vec![sample_trace(), planless],
+                ..Inspection::default()
+            }),
         ];
         for reply in replies {
             let encoded = reply.encode();
@@ -1534,9 +1429,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truncated_traces_replies_are_typed_errors() {
-        let encoded = Reply::Traces(vec![sample_trace()]).encode();
+    /// Every strict prefix of `reply`'s encoding must decode to a typed
+    /// truncation error, never a panic or a bogus reply.
+    fn assert_every_cut_is_typed(reply: Reply) {
+        let encoded = reply.encode();
         for cut in 1..encoded.len() {
             let err = Reply::decode(&encoded[..cut]).unwrap_err();
             assert!(
@@ -1547,24 +1443,146 @@ mod tests {
                 "cut at {cut}: {err:?}"
             );
         }
+    }
+
+    /// Decodes an INSPECT reply made of `empty_sections` valid empty
+    /// sections followed by whatever `tail` writes.
+    fn decode_inspect_after_empty_sections(
+        empty_sections: usize,
+        tail: &dyn Fn(&mut Vec<u8>),
+    ) -> FrameError {
+        let mut buf = vec![OP_INSPECT_RESULT];
+        for _ in 0..empty_sections {
+            put_u32(&mut buf, 0);
+        }
+        tail(&mut buf);
+        Reply::decode(&buf).unwrap_err()
+    }
+
+    #[test]
+    fn truncated_inspect_replies_are_typed_errors_at_every_cut() {
+        assert_every_cut_is_typed(Reply::Inspect(sample_inspection()));
+        // a hostile count in each section, after valid empty sections
+        for empty_sections in 0..4 {
+            let err =
+                decode_inspect_after_empty_sections(empty_sections, &|buf| put_u32(buf, u32::MAX));
+            assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+        }
+        // trailing garbage after a well-formed empty inspection
+        assert_eq!(
+            decode_inspect_after_empty_sections(4, &|buf| buf.push(0)),
+            FrameError::TrailingBytes
+        );
+    }
+
+    #[test]
+    fn truncated_traces_replies_are_typed_errors() {
+        assert_every_cut_is_typed(Reply::Inspect(Inspection {
+            traces: vec![sample_trace()],
+            ..Inspection::default()
+        }));
         // a reply claiming 4 billion traces in a tiny payload
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
+        let err = decode_inspect_after_empty_sections(0, &|buf| put_u32(buf, u32::MAX));
         assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
         // one trace claiming 4 billion span events
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0); // elapsed_ns
-        put_u32(&mut buf, u32::MAX); // hostile event count
-        let err = Reply::decode(&buf).unwrap_err();
+        let err = decode_inspect_after_empty_sections(0, &|buf| {
+            put_u32(buf, 1);
+            put_u64(buf, 0); // elapsed_ns
+            put_u32(buf, u32::MAX);
+        });
         assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn truncated_alerts_replies_are_typed_errors_at_every_cut() {
+        let (alerts, alert_events) = sample_alerts();
+        assert_every_cut_is_typed(Reply::Inspect(Inspection {
+            alerts,
+            alert_events,
+            ..Inspection::default()
+        }));
+        // hostile status count after an empty trace section
+        let err = decode_inspect_after_empty_sections(1, &|buf| put_u32(buf, u32::MAX));
+        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+        // hostile event count after a valid empty status section
+        let err = decode_inspect_after_empty_sections(2, &|buf| put_u32(buf, u32::MAX));
+        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+        // one event claiming 4 billion affected columns
+        let err = decode_inspect_after_empty_sections(2, &|buf| {
+            put_u32(buf, 1);
+            put_str(buf, "r");
+            put_u8(buf, 0);
+            put_u64(buf, 1);
+            put_str(buf, "");
+            put_u32(buf, u32::MAX);
+        });
+        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn truncated_history_replies_are_typed_errors_at_every_cut() {
+        assert_every_cut_is_typed(Reply::Inspect(Inspection {
+            history: sample_history(),
+            ..Inspection::default()
+        }));
+        // hostile delta count
+        let err = decode_inspect_after_empty_sections(3, &|buf| put_u32(buf, u32::MAX));
+        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+        // one delta claiming 4 billion counters
+        let err = decode_inspect_after_empty_sections(3, &|buf| {
+            put_u32(buf, 1);
+            put_u64(buf, 0); // interval_ns
+            put_u32(buf, u32::MAX);
+        });
+        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_histogram_bucket_counts_are_typed_errors() {
+        let with_buckets = |buckets: Vec<u64>| {
+            Reply::Inspect(Inspection {
+                history: vec![SnapshotDelta {
+                    interval_ns: 1,
+                    counters: vec![],
+                    gauges: vec![],
+                    histograms: vec![HistogramSnapshot {
+                        name: "engine.query_ns".into(),
+                        count: u64::MAX,
+                        sum: u64::MAX,
+                        buckets,
+                    }],
+                }],
+                ..Inspection::default()
+            })
+            .encode()
+        };
+        // one bucket too many would index past the last bucket bound
+        for len in [HISTOGRAM_BUCKETS + 1, HISTOGRAM_BUCKETS - 1, 0] {
+            assert_eq!(
+                Reply::decode(&with_buckets(vec![0; len])).unwrap_err(),
+                FrameError::BadCount {
+                    what: "histogram bucket",
+                    count: len as u64,
+                }
+            );
+        }
+        // bucket values whose running sum overflows decode, and every
+        // readout stays total
+        for value in [u64::MAX, u64::MAX / 10 * 9] {
+            let decoded = Reply::decode(&with_buckets(vec![value; HISTOGRAM_BUCKETS])).unwrap();
+            let Reply::Inspect(inspection) = decoded else {
+                panic!("{decoded:?}");
+            };
+            let delta = &inspection.history[0];
+            assert!(delta.histograms[0].p99().is_some());
+            assert!(delta.render_text().contains("engine.query_ns"));
+        }
     }
 
     #[test]
     fn hostile_span_tags_and_flags_are_typed_errors() {
         // an unknown span-event tag
-        let mut buf = vec![OP_TRACES_RESULT];
+        let mut buf = vec![OP_INSPECT_RESULT];
         put_u32(&mut buf, 1);
         put_u64(&mut buf, 0);
         put_u32(&mut buf, 1);
@@ -1578,7 +1596,7 @@ mod tests {
             }
         ));
         // a Materialize whose aggregated flag is neither 0 nor 1
-        let mut buf = vec![OP_TRACES_RESULT];
+        let mut buf = vec![OP_INSPECT_RESULT];
         put_u32(&mut buf, 1);
         put_u64(&mut buf, 0);
         put_u32(&mut buf, 1);
@@ -1597,17 +1615,20 @@ mod tests {
     #[test]
     fn trace_floats_roundtrip_bit_exactly() {
         for v in [0.0f64, -0.0, f64::NAN, 1.5e-300] {
-            let reply = Reply::Traces(vec![QueryTrace {
-                events: vec![SpanEvent::Plan {
-                    driver_column: None,
-                    estimated_selectivity: v,
-                    residual_predicates: 0,
+            let reply = Reply::Inspect(Inspection {
+                traces: vec![QueryTrace {
+                    events: vec![SpanEvent::Plan {
+                        driver_column: None,
+                        estimated_selectivity: v,
+                        residual_predicates: 0,
+                    }],
+                    elapsed_ns: 1,
                 }],
-                elapsed_ns: 1,
-            }]);
+                ..Inspection::default()
+            });
             let decoded = Reply::decode(&reply.encode()).unwrap();
             match decoded {
-                Reply::Traces(traces) => match &traces[0].events[0] {
+                Reply::Inspect(inspection) => match &inspection.traces[0].events[0] {
                     SpanEvent::Plan {
                         estimated_selectivity,
                         ..
@@ -1619,135 +1640,32 @@ mod tests {
         }
     }
 
-    fn sample_alerts_reply() -> Reply {
-        Reply::Alerts {
-            status: vec![
-                AlertStatus {
-                    rule: "shed-spike".into(),
-                    state: AlertState::Firing,
-                    consecutive_breaches: 3,
-                    healthy_intervals: 0,
-                    observed: "server.requests_shed rate 120.0/s > 50.0/s".into(),
-                    times_fired: 2,
-                },
-                AlertStatus {
-                    rule: "column-stalled".into(),
-                    state: AlertState::Idle,
-                    consecutive_breaches: 0,
-                    healthy_intervals: 0,
-                    observed: String::new(),
-                    times_fired: 0,
-                },
-            ],
-            events: vec![
-                AlertEvent {
-                    rule: "shed-spike".into(),
-                    kind: AlertEventKind::Pending,
-                    tick: 4,
-                    observed: "naïve ★ evidence".into(),
-                    columns: vec![],
-                },
-                AlertEvent {
-                    rule: "column-stalled".into(),
-                    kind: AlertEventKind::Firing,
-                    tick: 9,
-                    observed: "verdict stalled".into(),
-                    columns: vec!["t.o_key".into(), "t.o_value".into()],
-                },
-            ],
-        }
-    }
-
-    fn sample_history_reply() -> Reply {
-        Reply::History(vec![
-            SnapshotDelta {
-                interval_ns: 1_000_000,
-                counters: vec![CounterDelta {
-                    name: "engine.queries_served".into(),
-                    delta: 42,
-                }],
-                gauges: vec![GaugeDelta {
-                    name: "server.connections".into(),
-                    level: -3,
-                    delta: i64::MIN,
-                }],
-                histograms: vec![HistogramSnapshot {
-                    name: "engine.query_ns".into(),
-                    count: 42,
-                    sum: 123_456,
-                    buckets: vec![0, 7, 35],
-                }],
-            },
-            SnapshotDelta {
-                interval_ns: 0,
-                counters: vec![],
-                gauges: vec![],
-                histograms: vec![],
-            },
-        ])
-    }
-
     #[test]
     fn alerts_and_history_requests_and_replies_roundtrip() {
-        for request in [Request::Alerts, Request::History] {
-            assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        }
-        let empty = Reply::Alerts {
-            status: vec![],
-            events: vec![],
-        };
-        for reply in [
-            sample_alerts_reply(),
-            empty,
-            sample_history_reply(),
-            Reply::History(Vec::new()),
+        let (alerts, alert_events) = sample_alerts();
+        for inspection in [
+            sample_inspection(),
+            Inspection {
+                alerts,
+                alert_events,
+                ..Inspection::default()
+            },
+            Inspection {
+                history: sample_history(),
+                ..Inspection::default()
+            },
         ] {
+            let reply = Reply::Inspect(inspection);
             let encoded = reply.encode();
             assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
         }
     }
 
     #[test]
-    fn truncated_alerts_replies_are_typed_errors_at_every_cut() {
-        let encoded = sample_alerts_reply().encode();
-        for cut in 1..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // hostile status count in a tiny payload
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // hostile event count after a valid empty status section
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // hostile per-event column count
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "r");
-        put_u8(&mut buf, 0);
-        put_u64(&mut buf, 1);
-        put_str(&mut buf, "");
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-    }
-
-    #[test]
     fn hostile_alert_tags_are_typed_errors() {
         // an unknown state tag inside a status
-        let mut buf = vec![OP_ALERTS_RESULT];
+        let mut buf = vec![OP_INSPECT_RESULT];
+        put_u32(&mut buf, 0); // traces
         put_u32(&mut buf, 1);
         put_str(&mut buf, "r");
         put_u8(&mut buf, 7);
@@ -1760,8 +1678,9 @@ mod tests {
             }
         ));
         // an unknown event-kind tag
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
+        let mut buf = vec![OP_INSPECT_RESULT];
+        put_u32(&mut buf, 0); // traces
+        put_u32(&mut buf, 0); // alert states
         put_u32(&mut buf, 1);
         put_str(&mut buf, "r");
         put_u8(&mut buf, 9);
@@ -1773,51 +1692,6 @@ mod tests {
                 tag: 9
             }
         ));
-    }
-
-    #[test]
-    fn truncated_history_replies_are_typed_errors_at_every_cut() {
-        let encoded = sample_history_reply().encode();
-        for cut in 1..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // hostile delta count
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // one delta claiming 4 billion counters
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0); // interval_ns
-        put_u32(&mut buf, u32::MAX); // hostile counter count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // valid counters, hostile windowed-histogram bucket count
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0);
-        put_u32(&mut buf, 0); // counters
-        put_u32(&mut buf, 0); // gauges
-        put_u32(&mut buf, 1); // histograms
-        put_str(&mut buf, "h");
-        put_u64(&mut buf, 1);
-        put_u64(&mut buf, 1);
-        put_u32(&mut buf, u32::MAX); // hostile bucket count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // trailing garbage after a well-formed empty history
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 0);
-        buf.push(0);
-        assert_eq!(Reply::decode(&buf).unwrap_err(), FrameError::TrailingBytes);
     }
 
     #[test]
@@ -1843,20 +1717,25 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_typed_errors() {
-        assert!(matches!(
-            Request::decode(&[0x7f]).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "request opcode",
-                tag: 0x7f
-            }
-        ));
-        assert!(matches!(
-            Reply::decode(&[0x01]).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "reply opcode",
-                ..
-            }
-        ));
+        // garbage, and the retired STATS/TRACES/ALERTS/HISTORY opcodes
+        for tag in [0x7f, 0x05, 0x07, 0x08, 0x09] {
+            assert_eq!(
+                Request::decode(&[tag]).unwrap_err(),
+                FrameError::UnknownTag {
+                    what: "request opcode",
+                    tag
+                }
+            );
+        }
+        for tag in [0x01, 0x87, 0x89, 0x8A, 0x8B] {
+            assert_eq!(
+                Reply::decode(&[tag]).unwrap_err(),
+                FrameError::UnknownTag {
+                    what: "reply opcode",
+                    tag
+                }
+            );
+        }
         // a QUERY whose predicate tag is garbage
         let mut buf = vec![OP_QUERY];
         put_str(&mut buf, "t");

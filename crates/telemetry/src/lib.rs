@@ -20,8 +20,8 @@
 //!   quantiles, kept in a bounded ring. The convergence claim is about the
 //!   derivative of refinement effort; this is where the derivative lives.
 //! * [`TraceSampler`] — every-Nth-query tracing (one relaxed `fetch_add`
-//!   on the unsampled path) feeding a recent-trace ring and a slowest-K
-//!   reservoir, so a production server always has traces on hand.
+//!   on the unsampled path) feeding a recent-trace ring, so a production
+//!   server always has traces on hand.
 //! * [`Snapshot::render_prometheus`] — Prometheus text exposition of any
 //!   snapshot, for scrape-based monitoring via the server's `METRICS`
 //!   opcode.

@@ -151,7 +151,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{HistogramSnapshot, Registry};
+    use crate::metrics::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Registry};
 
     #[test]
     fn sanitizes_names_to_the_prometheus_charset() {
@@ -323,6 +323,48 @@ mod tests {
             text.contains("aidx_index_health{table=\"data\",column=\"k\"} 2\n"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn render_is_deterministic_for_unsorted_snapshots() {
+        // hand-assemble a snapshot in reverse name order; render must not
+        // depend on insertion order
+        let unsorted = Snapshot {
+            counters: vec![
+                CounterSnapshot {
+                    name: "z.counter".into(),
+                    value: 2,
+                },
+                CounterSnapshot {
+                    name: "a.counter".into(),
+                    value: 1,
+                },
+            ],
+            gauges: vec![
+                GaugeSnapshot {
+                    name: "z.gauge".into(),
+                    value: -1,
+                },
+                GaugeSnapshot {
+                    name: "a.gauge".into(),
+                    value: 5,
+                },
+            ],
+            histograms: vec![
+                HistogramSnapshot::empty("z.hist"),
+                HistogramSnapshot::empty("a.hist"),
+            ],
+        };
+        let mut sorted = unsorted.clone();
+        sorted.counters.sort_by(|a, b| a.name.cmp(&b.name));
+        sorted.gauges.sort_by(|a, b| a.name.cmp(&b.name));
+        sorted.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        assert_ne!(unsorted.counters, sorted.counters, "fixture is unsorted");
+        assert_eq!(unsorted.render_prometheus(), sorted.render_prometheus());
+        let text = unsorted.render_prometheus();
+        let a_pos = text.find("a_counter ").unwrap();
+        let z_pos = text.find("z_counter ").unwrap();
+        assert!(a_pos < z_pos, "sections render in name order");
     }
 
     #[test]

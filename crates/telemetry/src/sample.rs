@@ -4,10 +4,9 @@
 //! allocates; a production server wants a *standing* trickle of traces
 //! instead. [`TraceSampler`] makes the unsampled path as cheap as telemetry
 //! gets — one relaxed `fetch_add` and a compare, no allocation, no lock —
-//! and routes the 1-in-N sampled traces into two bounded pools: a ring of
-//! the most recent traces (what is the engine doing *now*?) and a
-//! slowest-K reservoir (what were the worst queries since startup?). Both
-//! are only ever touched on the sampled path.
+//! and routes the 1-in-N sampled traces into a bounded ring of the most
+//! recent traces (what is the engine doing *now*?), which is only ever
+//! touched on the sampled path.
 
 use crate::trace::QueryTrace;
 use std::collections::VecDeque;
@@ -25,25 +24,19 @@ pub struct TraceSampler {
     decisions: AtomicU64,
     sampled: AtomicU64,
     ring_capacity: usize,
-    slowest_capacity: usize,
     ring: Mutex<VecDeque<QueryTrace>>,
-    slowest: Mutex<Vec<QueryTrace>>,
 }
 
 impl TraceSampler {
     /// A sampler tracing every `every`-th query (`0` disables sampling
-    /// entirely), keeping at most `ring_capacity` recent traces and the
-    /// `slowest_capacity` slowest-by-elapsed traces (each min 1 when
-    /// sampling is enabled).
-    pub fn new(every: u64, ring_capacity: usize, slowest_capacity: usize) -> Self {
+    /// entirely), keeping at most `ring_capacity` recent traces (min 1).
+    pub fn new(every: u64, ring_capacity: usize) -> Self {
         TraceSampler {
             every,
             decisions: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             ring_capacity: ring_capacity.max(1),
-            slowest_capacity: slowest_capacity.max(1),
             ring: Mutex::new(VecDeque::new()),
-            slowest: Mutex::new(Vec::new()),
         }
     }
 
@@ -68,28 +61,11 @@ impl TraceSampler {
     /// Retain one finished sampled trace.
     pub fn record(&self, trace: QueryTrace) {
         self.sampled.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut ring = self.ring.lock().expect("sampler ring lock poisoned");
-            if ring.len() == self.ring_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(trace.clone());
+        let mut ring = self.ring.lock().expect("sampler ring lock poisoned");
+        if ring.len() == self.ring_capacity {
+            ring.pop_front();
         }
-        let mut slowest = self
-            .slowest
-            .lock()
-            .expect("sampler reservoir lock poisoned");
-        if slowest.len() < self.slowest_capacity {
-            slowest.push(trace);
-            slowest.sort_by_key(|t| std::cmp::Reverse(t.elapsed_ns));
-        } else if let Some(last) = slowest.last_mut() {
-            // reservoir is full and sorted slowest-first: displace the
-            // current fastest member if this trace is slower
-            if trace.elapsed_ns > last.elapsed_ns {
-                *last = trace;
-                slowest.sort_by_key(|t| std::cmp::Reverse(t.elapsed_ns));
-            }
-        }
+        ring.push_back(trace);
     }
 
     /// Sampled traces retained so far (monotonic; may exceed what the ring
@@ -108,14 +84,6 @@ impl TraceSampler {
             .cloned()
             .collect()
     }
-
-    /// The slowest sampled traces since startup, slowest first.
-    pub fn slowest(&self) -> Vec<QueryTrace> {
-        self.slowest
-            .lock()
-            .expect("sampler reservoir lock poisoned")
-            .clone()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +99,7 @@ mod tests {
 
     #[test]
     fn disabled_sampler_never_samples() {
-        let sampler = TraceSampler::new(0, 8, 4);
+        let sampler = TraceSampler::new(0, 8);
         for _ in 0..100 {
             assert!(!sampler.should_sample());
         }
@@ -141,7 +109,7 @@ mod tests {
 
     #[test]
     fn samples_every_nth_decision() {
-        let sampler = TraceSampler::new(4, 8, 4);
+        let sampler = TraceSampler::new(4, 8);
         let decisions: Vec<bool> = (0..12).map(|_| sampler.should_sample()).collect();
         assert_eq!(
             decisions,
@@ -151,13 +119,13 @@ mod tests {
 
     #[test]
     fn every_one_samples_everything() {
-        let sampler = TraceSampler::new(1, 8, 4);
+        let sampler = TraceSampler::new(1, 8);
         assert!((0..10).all(|_| sampler.should_sample()));
     }
 
     #[test]
     fn ring_keeps_most_recent_traces() {
-        let sampler = TraceSampler::new(1, 3, 2);
+        let sampler = TraceSampler::new(1, 3);
         for i in 0..5u64 {
             sampler.record(trace(i));
         }
@@ -167,22 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_keeps_the_slowest_k() {
-        let sampler = TraceSampler::new(1, 16, 3);
-        for elapsed in [5u64, 100, 1, 50, 200, 2, 75] {
-            sampler.record(trace(elapsed));
-        }
-        let slowest: Vec<u64> = sampler.slowest().iter().map(|t| t.elapsed_ns).collect();
-        assert_eq!(
-            slowest,
-            vec![200, 100, 75],
-            "slowest-first, fastest displaced"
-        );
-    }
-
-    #[test]
     fn concurrent_sampling_counts_exactly() {
-        let sampler = std::sync::Arc::new(TraceSampler::new(8, 64, 8));
+        let sampler = std::sync::Arc::new(TraceSampler::new(8, 64));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let sampler = std::sync::Arc::clone(&sampler);

@@ -41,8 +41,8 @@ pub use aidx_workloads as workloads;
 
 pub use aidx_core::{
     Aggregation, AidxError, AidxResult, CheckpointReport, CompactionReport, Database,
-    DatabaseBuilder, DurabilityConfig, FsyncPolicy, HealthVerdict, IndexHealth, MaintenanceConfig,
-    MaintenanceStatsSnapshot, Predicate, Query, QueryBuilder, QueryPlan, QueryProfile, QueryResult,
-    QueryTrace, RowIter, Session, Snapshot, SnapshotDelta, SpanEvent, StrategyKind,
-    TelemetrySnapshot,
+    DatabaseBuilder, DurabilityConfig, FsyncPolicy, HealthVerdict, IndexHealth, Inspection,
+    MaintenanceConfig, MaintenanceStatsSnapshot, Predicate, Query, QueryBuilder, QueryPlan,
+    QueryProfile, QueryResult, QueryTrace, RowIter, Session, Snapshot, SnapshotDelta, SpanEvent,
+    StrategyKind, TelemetrySnapshot,
 };

@@ -239,8 +239,39 @@ fn concurrent_clients_match_embedded_session_byte_for_byte() {
     server.shutdown();
 }
 
+/// The value of one unlabeled sample line (`name value`) in a scrape.
+fn sample(text: &str, name: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// Every sample of the scrape's counter and histogram families, which may
+/// only grow between scrapes, keyed by sample name (labels included).
+fn monotone_samples(text: &str) -> Vec<(String, f64)> {
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|t| {
+            t.strip_suffix(" counter")
+                .or_else(|| t.strip_suffix(" histogram"))
+        })
+        .collect();
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .filter(|(name, _)| {
+            let base = name.split('{').next().unwrap_or(name);
+            families.iter().any(|family| {
+                base.strip_prefix(family)
+                    .is_some_and(|rest| ["", "_bucket", "_sum", "_count"].contains(&rest))
+            })
+        })
+        .map(|(name, value)| (name.to_owned(), value.parse().expect("numeric sample")))
+        .collect()
+}
+
 #[test]
-fn stats_roundtrip_over_a_live_socket() {
+fn metrics_counts_agree_with_the_engine_over_a_live_socket() {
     let (server, db) = served(ServerConfig::localhost());
     let mut client = Client::connect(server.local_addr()).unwrap();
     for i in 0..5 {
@@ -252,79 +283,78 @@ fn stats_roundtrip_over_a_live_socket() {
     client
         .insert("events", &[Value::Int64(-1), Value::Int64(0)])
         .unwrap();
-    let snapshot = client.stats().unwrap();
+    let text = client.metrics_text().unwrap();
     // server-side counters travelled the wire intact
-    assert_eq!(snapshot.counter("server.queries_served"), Some(5));
-    assert_eq!(snapshot.counter("server.inserts_served"), Some(1));
-    assert_eq!(snapshot.histogram("server.query_ns").unwrap().count, 5);
-    // engine-side metrics are merged into the same snapshot and agree with
-    // the embedded view of the same database
+    assert_eq!(sample(&text, "server_queries_served"), Some(5));
+    assert_eq!(sample(&text, "server_inserts_served"), Some(1));
+    assert_eq!(sample(&text, "server_query_ns_count"), Some(5));
+    // engine-side metrics share the scrape and agree with the embedded view
+    // of the same database
     let embedded = db.telemetry().metrics;
     assert_eq!(
-        snapshot.counter("engine.queries_served"),
+        sample(&text, "engine_queries_served"),
         embedded.counter("engine.queries_served")
     );
-    assert_eq!(snapshot.counter("engine.rows_inserted"), Some(1));
+    assert_eq!(sample(&text, "engine_rows_inserted"), Some(1));
     server.shutdown();
 }
 
 #[test]
-fn stats_snapshot_is_monotone_across_reads() {
+fn metrics_counters_are_monotone_across_reads() {
     let (server, _db) = served(ServerConfig::localhost());
     let mut client = Client::connect(server.local_addr()).unwrap();
     client
         .query(&Query::table("events").range("k", 0, 100))
         .unwrap();
-    let first = client.stats().unwrap();
+    let first = monotone_samples(&client.metrics_text().unwrap());
     client
         .query(&Query::table("events").range("k", 200, 300))
         .unwrap();
     client
         .query(&Query::table("events").range("k", 400, 500))
         .unwrap();
-    let second = client.stats().unwrap();
-    // counters and histogram counts never go backwards between reads
-    for counter in &first.counters {
-        let later = second.counter(&counter.name).unwrap_or(0);
-        assert!(
-            later >= counter.value,
-            "{} went backwards: {} -> {later}",
-            counter.name,
-            counter.value
-        );
+    let text = client.metrics_text().unwrap();
+    let second = monotone_samples(&text);
+    assert!(first.len() > 10, "counter and histogram families scraped");
+    // counters and histogram samples never go backwards between reads
+    for (name, value) in &first {
+        let later = second
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, v)| *v);
+        assert!(later >= *value, "{name} went backwards: {value} -> {later}");
     }
-    for hist in &first.histograms {
-        let later = second.histogram(&hist.name).map_or(0, |h| h.count);
-        assert!(
-            later >= hist.count,
-            "{} count went backwards: {} -> {later}",
-            hist.name,
-            hist.count
-        );
-    }
-    assert_eq!(second.counter("server.queries_served"), Some(3));
+    assert_eq!(sample(&text, "server_queries_served"), Some(3));
     server.shutdown();
 }
 
 #[test]
-fn malformed_stats_request_gets_typed_error() {
-    let (server, _db) = served(ServerConfig::localhost());
+fn retired_opcodes_get_typed_errors_and_the_connection_survives() {
+    let (server, db) = served(ServerConfig::localhost());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // a STATS opcode with trailing garbage: the request is fixed-size, so
-    // extra bytes are a malformed frame, answered without closing
-    write_frame(&mut stream, &[0x05, 0xAA, 0xBB]).unwrap();
-    match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::Malformed),
-        other => panic!("expected a typed malformed error, got {other:?}"),
-    }
-    // the same connection still answers a well-formed STATS
-    write_frame(&mut stream, &[0x05]).unwrap();
-    match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Stats(snapshot)) => {
-            assert_eq!(snapshot.counter("server.errors_sent"), Some(1));
+    // the retired STATS, TRACES, ALERTS and HISTORY opcodes
+    for opcode in [0x05u8, 0x07, 0x08, 0x09] {
+        write_frame(&mut stream, &[opcode]).unwrap();
+        match raw_reply(&mut stream).unwrap() {
+            Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::UnknownOpcode),
+            other => panic!("expected a typed unknown-opcode error, got {other:?}"),
         }
-        other => panic!("expected a stats reply, got {other:?}"),
     }
+    // the same connection then answers INSPECT
+    write_frame(&mut stream, &[0x0A]).unwrap();
+    match raw_reply(&mut stream).unwrap() {
+        Some(Reply::Inspect(inspection)) => assert_eq!(inspection, db.inspect()),
+        other => panic!("expected an inspect reply, got {other:?}"),
+    }
+    // and the client's INSPECT is the embedded value, after real traffic
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .query(&Query::table("events").range("k", 100, 400))
+        .unwrap();
+    let inspection = client.inspect().unwrap();
+    assert_eq!(inspection.traces.len(), 1, "the first query is sampled");
+    assert_eq!(inspection, db.inspect());
+    assert_eq!(server.stats().errors_sent, 4);
     server.shutdown();
 }
 
@@ -332,7 +362,7 @@ fn malformed_stats_request_gets_typed_error() {
 fn metrics_and_traces_roundtrip_over_a_live_socket() {
     let (server, db) = served(ServerConfig::localhost());
     let mut client = Client::connect(server.local_addr()).unwrap();
-    // the reply-timeout guard: a hanging METRICS/TRACES dispatch fails the
+    // the reply-timeout guard: a hanging METRICS/INSPECT dispatch fails the
     // test instead of wedging it
     client
         .set_reply_timeout(Some(Duration::from_secs(10)))
@@ -355,25 +385,25 @@ fn metrics_and_traces_roundtrip_over_a_live_socket() {
         assert!(!name.is_empty() && value.parse::<f64>().is_ok(), "{line:?}");
     }
 
-    let traces = client.traces().unwrap();
-    assert_eq!(traces, db.recent_traces(), "wire ring == embedded ring");
+    let traces = client.inspect().unwrap().traces;
+    assert_eq!(traces, db.inspect().traces, "wire ring == embedded ring");
     assert_eq!(traces.len(), 1);
     assert!(traces[0].refinement_effort() > 0, "the query cracked");
 
     // both dispatches are instrumented; the next scrape sees them
-    let snapshot = client.stats().unwrap();
-    assert_eq!(snapshot.histogram("server.metrics_ns").unwrap().count, 1);
-    assert_eq!(snapshot.histogram("server.traces_ns").unwrap().count, 1);
+    let text = client.metrics_text().unwrap();
+    assert_eq!(sample(&text, "server_metrics_ns_count"), Some(1));
+    assert_eq!(sample(&text, "server_inspect_ns_count"), Some(1));
     server.shutdown();
 }
 
 #[test]
-fn malformed_metrics_and_traces_requests_get_typed_errors() {
+fn malformed_metrics_and_inspect_requests_get_typed_errors() {
     let (server, _db) = served(ServerConfig::localhost());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // METRICS and TRACES requests are fixed-size opcodes: trailing bytes
+    // METRICS and INSPECT requests are fixed-size opcodes: trailing bytes
     // are malformed frames, answered without closing the connection
-    for opcode in [0x06u8, 0x07] {
+    for opcode in [0x06u8, 0x0A] {
         write_frame(&mut stream, &[opcode, 0xAA]).unwrap();
         match raw_reply(&mut stream).unwrap() {
             Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::Malformed),
@@ -388,10 +418,12 @@ fn malformed_metrics_and_traces_requests_get_typed_errors() {
         }
         other => panic!("expected a metrics-text reply, got {other:?}"),
     }
-    write_frame(&mut stream, &[0x07]).unwrap();
+    write_frame(&mut stream, &[0x0A]).unwrap();
     match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Traces(traces)) => assert!(traces.is_empty(), "no queries ran"),
-        other => panic!("expected a traces reply, got {other:?}"),
+        Some(Reply::Inspect(inspection)) => {
+            assert!(inspection.traces.is_empty(), "no queries ran");
+        }
+        other => panic!("expected an inspect reply, got {other:?}"),
     }
     server.shutdown();
 }
