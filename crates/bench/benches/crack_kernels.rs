@@ -1,7 +1,10 @@
 //! Criterion micro-benchmarks for the physical reorganization kernels:
 //! crack-in-two, crack-in-three, sorted-run extraction and the scan / binary
-//! search baselines they compete with.
+//! search baselines they compete with, plus result assembly — putting an
+//! answer's row ids back into row order — beside its comparison-sort
+//! baseline.
 
+use aidx_columnstore::position::PositionList;
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
 use aidx_merging::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -92,9 +95,47 @@ fn bench_scan_vs_sorted_extract(c: &mut Criterion) {
     group.finish();
 }
 
+/// Answer sizes of a point-like, a 1% and a 10% range over a 2M-row column.
+const ANSWER_SIZES: [usize; 3] = [300, 20_000, 200_000];
+
+/// `count` distinct row ids below 2M in scrambled order: multiplying by a
+/// constant coprime to 2M permutes `0..2M`.
+fn scrambled_ids(count: usize) -> Vec<u32> {
+    (0..count as u64)
+        .map(|i| (i * 1_234_567 % 2_000_000) as u32)
+        .collect()
+}
+
+fn bench_position_list(c: &mut Criterion) {
+    let mut group = c.benchmark_group("position_list");
+    for &n in &ANSWER_SIZES {
+        let ids = scrambled_ids(n);
+        group.bench_with_input(BenchmarkId::new("from_vec", n), &ids, |b, ids| {
+            b.iter_batched(
+                || ids.clone(),
+                |ids| black_box(PositionList::from_vec(ids).len()),
+                BatchSize::LargeInput,
+            );
+        });
+        group.bench_with_input(BenchmarkId::new("sort_dedup", n), &ids, |b, ids| {
+            b.iter_batched(
+                || ids.clone(),
+                |mut ids| {
+                    ids.sort_unstable();
+                    ids.dedup();
+                    black_box(ids.len())
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15);
-    targets = bench_crack_in_two, bench_crack_in_three, bench_scan_vs_sorted_extract
+    targets = bench_crack_in_two, bench_crack_in_three, bench_scan_vs_sorted_extract,
+        bench_position_list
 }
 criterion_main!(kernels);

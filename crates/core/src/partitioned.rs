@@ -41,8 +41,8 @@ pub const PARTITIONS_PER_WORKER: usize = 2;
 /// plus the map from the index's local positions to global row ids.
 struct Partition {
     index: Box<dyn AdaptiveIndex + Send>,
-    /// `rowids[local_position] == global rowid`; grows in lockstep with the
-    /// index when update-capable strategies absorb appends.
+    /// `rowids[local_position] == global rowid`, ascending; grows in
+    /// lockstep with the index when update-capable strategies absorb appends.
     rowids: Vec<RowId>,
 }
 
@@ -93,6 +93,9 @@ impl PartitionedIndex {
             .zip(data)
             .map(|(index, d)| {
                 debug_assert_eq!(index.len(), d.rowids.len());
+                // `query_range` relies on it: the stripe-order scatter hands
+                // every partition its rowids in ascending order
+                debug_assert!(d.rowids.windows(2).all(|w| w[0] < w[1]));
                 Mutex::new(Partition {
                     index,
                     rowids: d.rowids,
@@ -151,24 +154,26 @@ impl PartitionedIndex {
         }
         let (first, last) = partition_span(&self.cuts, low, high);
         let last = last.min(self.partitions.len() - 1);
-        let per_partition = pool.run(last - first + 1, |i| {
+        // a local answer is ascending and `rowids` is ascending, so each
+        // mapped run is already sorted: no partition's answer is re-sorted
+        let runs = pool.run(last - first + 1, |i| {
             let mut partition = self.partitions[first + i].lock();
             let output = partition.index.query_range(low, high);
             let rowids = &partition.rowids;
-            output
-                .positions
-                .iter()
-                .map(|local| rowids[local as usize])
-                .filter(|&global| (global as usize) < snapshot_len)
-                .collect::<Vec<RowId>>()
+            PositionList::from_sorted_vec(
+                output
+                    .positions
+                    .iter()
+                    .map(|local| rowids[local as usize])
+                    .filter(|&global| (global as usize) < snapshot_len)
+                    .collect(),
+            )
         });
-        let mut merged: Vec<RowId> = Vec::with_capacity(per_partition.iter().map(Vec::len).sum());
-        for positions in per_partition {
-            merged.extend_from_slice(&positions);
-        }
-        // partitions interleave row ids, so the merged set must be sorted —
-        // which also makes the answer independent of partition layout
-        PositionList::from_vec(merged)
+        // partitions interleave row ids, so several runs are merged into one
+        // sorted set — which also makes the answer independent of layout
+        runs.into_iter()
+            .reduce(|merged, run| merged.union(&run))
+            .unwrap_or_default()
     }
 
     /// Stage the append of `(key, global_rowid)` into the owning partition.
@@ -184,6 +189,11 @@ impl PartitionedIndex {
             return false;
         };
         let mut partition = slot.lock();
+        // appends arrive in rowid order, keeping `rowids` ascending
+        debug_assert!(partition
+            .rowids
+            .last()
+            .is_none_or(|&last| last < global_rowid));
         if partition.index.insert(key) {
             partition.rowids.push(global_rowid);
             self.len.fetch_add(1, Ordering::Relaxed);

@@ -65,6 +65,10 @@ impl<'a> RangeResult<'a> {
 
     /// Qualifying row ids as a sorted [`PositionList`] for late
     /// materialization against other columns of the same table.
+    ///
+    /// Cracking leaves the piece's row ids in physical order, so putting them
+    /// back into row order is the answer's one remaining cost: a linear-time
+    /// radix sort of the piece ([`PositionList::from_vec`]).
     pub fn positions(&self) -> PositionList {
         PositionList::from_vec(self.rowids().to_vec())
     }

@@ -9,7 +9,7 @@
 //! into unbounded latency and eventually OOM, the classic failure mode the
 //! admission-control literature warns about.
 
-use aidx_telemetry::{Counter, Histogram, Registry, Snapshot};
+use aidx_telemetry::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,7 +84,6 @@ impl Drop for AdmissionPermit<'_> {
 /// instruments, so the two views cannot drift apart.
 #[derive(Debug)]
 pub struct ServerCounters {
-    registry: Arc<Registry>,
     /// `server.connections_accepted` — connections accepted and served.
     pub connections_accepted: Arc<Counter>,
     /// `server.connections_rejected` — rejections at the connection cap.
@@ -138,7 +137,6 @@ impl ServerCounters {
             batch_ns: registry.histogram("server.batch_ns"),
             metrics_ns: registry.histogram("server.metrics_ns"),
             inspect_ns: registry.histogram("server.inspect_ns"),
-            registry,
         }
     }
     /// A point-in-time copy of the counters.
@@ -151,12 +149,6 @@ impl ServerCounters {
             requests_shed: self.requests_shed.get(),
             errors_sent: self.errors_sent.get(),
         }
-    }
-
-    /// Every `server.*` metric (counters and latency histograms) as a
-    /// mergeable [`Snapshot`].
-    pub fn registry_snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
     }
 }
 
@@ -247,20 +239,5 @@ mod tests {
         assert_eq!(stats.queries_served, 3);
         assert_eq!(stats.requests_shed, 1);
         assert_eq!(stats.connections_accepted, 0);
-    }
-
-    #[test]
-    fn registry_snapshot_matches_stats_view() {
-        let counters = ServerCounters::default();
-        counters.queries_served.add(5);
-        counters.errors_sent.incr();
-        counters.query_ns.record(1_000);
-        let snapshot = counters.registry_snapshot();
-        assert_eq!(snapshot.counter("server.queries_served"), Some(5));
-        assert_eq!(snapshot.counter("server.errors_sent"), Some(1));
-        let hist = snapshot.histogram("server.query_ns").expect("histogram");
-        assert_eq!(hist.count, 1);
-        // Same instruments back the ServerStats view — no drift possible.
-        assert_eq!(counters.snapshot().queries_served, 5);
     }
 }

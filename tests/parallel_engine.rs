@@ -217,3 +217,75 @@ fn serial_and_parallel_prune_statistics_are_identical() {
     assert_eq!(serial.indexed_column_count(), 0, "no index for empty proof");
     assert_eq!(parallel.indexed_column_count(), 0);
 }
+
+/// Partitioned answers are merged from per-partition sorted runs, not
+/// re-sorted, so this pins what the merge must keep: answers strictly
+/// ascending and equal to the serial engine's and to a scan, for ranges over
+/// one, several and all partitions, before and after appended rows the
+/// partitioned index absorbs.
+#[test]
+fn partitioned_answers_are_ascending_and_match_serial_and_scan() {
+    let keys = generate_keys(ROWS, DataDistribution::UniformPermutation, SEED);
+    let n = ROWS as i64;
+    // cuts are equal-width over the key domain `[0, ROWS)`: four partitions
+    // at parallelism 2, eight at parallelism 4, both with a cut just below
+    // n / 2
+    let ranges = [
+        (100, 140),               // one partition, at the low edge
+        (n / 2 + 7, n / 2 + 300), // one interior partition
+        (n / 8 - 50, n / 2 + 50), // several partitions
+        (n / 3, n - 2),           // several, up to the high edge
+        (-10, n + 10),            // all partitions
+        (Key::MIN, Key::MAX),     // all, through the open-ended edges
+    ];
+    // appended keys are spread evenly over `[-30, n + 30]` in scrambled
+    // order, so they land in every partition, including both open edges
+    let appended: Vec<i64> = (0..240)
+        .map(|i| (i * 97 % 240) * (n + 60) / 239 - 30)
+        .collect();
+    let rows: Vec<Vec<Value>> = appended.iter().map(|&k| vec![Value::Int64(k)]).collect();
+    let grown: Vec<i64> = keys.iter().chain(&appended).copied().collect();
+    for strategy in [StrategyKind::Cracking, StrategyKind::UpdatableCracking] {
+        for parallelism in [2usize, 4] {
+            let serial = build_db(&keys, strategy, 1);
+            let parallel = build_db(&keys, strategy, parallelism);
+            for (phase, oracle_keys) in [("loaded", &keys), ("appended", &grown)] {
+                if phase == "appended" {
+                    serial.session().insert_rows("events", &rows).unwrap();
+                    parallel.session().insert_rows("events", &rows).unwrap();
+                }
+                // twice: the first query of a range refines the index, the
+                // second is answered from the refined pieces
+                for &(low, high) in ranges.iter().chain(&ranges) {
+                    let query = |db: &Database| {
+                        db.session()
+                            .query("events")
+                            .range("k", low, high)
+                            .execute()
+                            .unwrap()
+                            .positions()
+                            .as_slice()
+                            .to_vec()
+                    };
+                    let got = query(&parallel);
+                    let what =
+                        format!("{strategy:?} parallelism={parallelism} {phase} [{low},{high})");
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "not ascending: {what}");
+                    assert_eq!(got, query(&serial), "serial differs: {what}");
+                    assert_eq!(
+                        got,
+                        reference(oracle_keys, low, high),
+                        "scan differs: {what}"
+                    );
+                }
+            }
+            let stats = parallel.index_stats();
+            assert_eq!(stats[0].partitions, 2 * parallelism, "{strategy:?}");
+            if strategy == StrategyKind::UpdatableCracking {
+                // the appends were absorbed, not answered by a rebuilt index
+                assert_eq!(stats[0].tuples, grown.len());
+                assert_eq!(stats[0].queries, 4 * ranges.len() as u64);
+            }
+        }
+    }
+}
