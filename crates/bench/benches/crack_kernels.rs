@@ -2,9 +2,12 @@
 //! crack-in-two, crack-in-three, sorted-run extraction and the scan / binary
 //! search baselines they compete with, plus result assembly — putting an
 //! answer's row ids back into row order — beside its comparison-sort
-//! baseline.
+//! baseline, and row materialization — streaming an answer's projected rows
+//! — beside the typed column fetch of the same positions.
 
+use aidx_columnstore::ops::project::fetch_i64;
 use aidx_columnstore::position::PositionList;
+use aidx_core::prelude::*;
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
 use aidx_merging::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -132,10 +135,73 @@ fn bench_position_list(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows of the column `row_materialize` reads, and its segment capacity.
+const MATERIALIZE_ROWS: usize = 1_000_000;
+const MATERIALIZE_SEGMENT_CAPACITY: usize = 4096;
+/// Rows in each answer whose projected values are materialized.
+const MATERIALIZE_ANSWER: usize = 5_000;
+
+fn bench_row_materialize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("row_materialize");
+    // `k` is a permutation of `0..n`, so a width-5,000 range on it selects
+    // 5,000 row ids scattered over the whole column, in row order
+    let n = MATERIALIZE_ROWS as i64;
+    let keys: Vec<i64> = (0..n).map(|i| i * 48_271 % n).collect();
+    let payload: Vec<i64> = (0..n).map(|i| i * 7).collect();
+    let db = Database::builder()
+        .segment_capacity(MATERIALIZE_SEGMENT_CAPACITY)
+        .parallelism(1)
+        .telemetry(false)
+        .build();
+    let table = Table::from_columns(vec![
+        ("k", Column::from_i64(keys)),
+        ("v", Column::from_i64(payload)),
+    ])
+    .expect("equal-length columns");
+    db.create_table("t", table).expect("fresh database");
+    // one answer per disjoint key range, used in turn: together they touch
+    // every row, so an iteration reads positions the last few did not, as a
+    // query stream over a column larger than the cache does
+    let session = db.session();
+    let width = MATERIALIZE_ANSWER as i64;
+    let answers: Vec<QueryResult> = (0..n / width)
+        .map(|j| {
+            let query = Query::table("t")
+                .range("k", j * width, (j + 1) * width)
+                .project(["v"]);
+            let result = session.execute(&query).expect("valid query");
+            assert_eq!(result.row_count(), MATERIALIZE_ANSWER);
+            result
+        })
+        .collect();
+    let column = answers[0].snapshot().column("v").expect("projected column");
+
+    group.bench_function(BenchmarkId::new("rows", MATERIALIZE_ANSWER), |b| {
+        let mut turn = answers.iter().cycle();
+        b.iter(|| {
+            let result = turn.next().expect("endless cycle");
+            result.rows().fold(0i64, |sum, row| match row.first() {
+                Some(Value::Int64(v)) => sum.wrapping_add(*v),
+                _ => sum,
+            })
+        })
+    });
+    group.bench_function(BenchmarkId::new("fetch_i64", MATERIALIZE_ANSWER), |b| {
+        let mut turn = answers.iter().cycle();
+        b.iter(|| {
+            let result = turn.next().expect("endless cycle");
+            fetch_i64(column, result.positions())
+                .into_iter()
+                .fold(0i64, i64::wrapping_add)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15);
     targets = bench_crack_in_two, bench_crack_in_three, bench_scan_vs_sorted_extract,
-        bench_position_list
+        bench_position_list, bench_row_materialize
 }
 criterion_main!(kernels);

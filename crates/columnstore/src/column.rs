@@ -14,7 +14,6 @@
 //! chunked without the index kernels noticing.
 
 use crate::error::{ColumnStoreError, Result};
-use crate::position::PositionList;
 use crate::segment::Segment;
 use crate::types::{DataType, RowId, Value};
 use std::collections::HashMap;
@@ -421,30 +420,32 @@ impl Column {
         }
     }
 
-    /// Materialize the values at the given positions as dynamic values.
-    pub fn gather(&self, positions: &PositionList) -> Result<Vec<Value>> {
+    /// Materialize the values at `positions`, in the given order, as
+    /// dynamic values (one chunk-resolved pass over the backing segment).
+    ///
+    /// Errors with `PositionOutOfBounds` when any position is out of range;
+    /// the slice need not be sorted.
+    pub fn gather(&self, positions: &[RowId]) -> Result<Vec<Value>> {
         let len = self.len();
-        if let Some(&last) = positions.as_slice().last() {
-            if last as usize >= len {
-                return Err(ColumnStoreError::PositionOutOfBounds {
-                    position: last as u64,
-                    len,
-                });
-            }
+        if let Some(&position) = positions.iter().find(|&&p| p as usize >= len) {
+            return Err(ColumnStoreError::PositionOutOfBounds {
+                position: position as u64,
+                len,
+            });
         }
         Ok(match self {
             Column::Int64(c) => c
-                .gather_positions(positions.as_slice())
+                .gather_positions(positions)
                 .into_iter()
                 .map(Value::Int64)
                 .collect(),
             Column::Float64(c) => c
-                .gather_positions(positions.as_slice())
+                .gather_positions(positions)
                 .into_iter()
                 .map(Value::Float64)
                 .collect(),
             Column::Utf8 { codes, dictionary } => codes
-                .gather_positions(positions.as_slice())
+                .gather_positions(positions)
                 .into_iter()
                 .map(|code| {
                     Value::Utf8(
@@ -535,8 +536,29 @@ mod tests {
         let c = Column::from_i64(vec![1, 2]);
         let err = c.value_at(5).unwrap_err();
         assert!(matches!(err, ColumnStoreError::PositionOutOfBounds { .. }));
-        let err = c.gather(&PositionList::from_vec(vec![0, 9])).unwrap_err();
+        let err = c.gather(&[0, 9]).unwrap_err();
         assert!(matches!(err, ColumnStoreError::PositionOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn gather_rejects_any_out_of_range_position_in_an_unsorted_slice() {
+        let c = Column::from_i64(vec![1, 2, 3]);
+        for positions in [&[7, 0, 1][..], &[2, 0, 9, 1], &[0, 1, RowId::MAX]] {
+            let err = c.gather(positions).unwrap_err();
+            let first_bad = *positions.iter().find(|&&p| p >= 3).unwrap();
+            assert!(
+                matches!(
+                    err,
+                    ColumnStoreError::PositionOutOfBounds { position, len: 3 }
+                        if position == first_bad as u64
+                ),
+                "{positions:?}: {err:?}"
+            );
+        }
+        assert_eq!(
+            c.gather(&[2, 0, 2]).unwrap(),
+            vec![Value::Int64(3), Value::Int64(1), Value::Int64(3)]
+        );
     }
 
     #[test]
@@ -548,7 +570,7 @@ mod tests {
         let (codes, dict) = c.as_utf8().unwrap();
         assert_eq!(codes.value(0), codes.value(2));
         assert_eq!(dict.len(), 2);
-        let gathered = c.gather(&PositionList::from_vec(vec![0, 2])).unwrap();
+        let gathered = c.gather(&[0, 2]).unwrap();
         assert_eq!(
             gathered,
             vec![Value::Utf8("x".into()), Value::Utf8("x".into())]
@@ -559,8 +581,7 @@ mod tests {
     fn column_float64_and_gather() {
         let c = Column::from_f64(vec![0.5, 1.5, 2.5]);
         assert_eq!(c.value_at(1).unwrap(), Value::Float64(1.5));
-        let positions = PositionList::from_vec(vec![0, 2]);
-        let vals = c.gather(&positions).unwrap();
+        let vals = c.gather(&[0, 2]).unwrap();
         assert_eq!(vals, vec![Value::Float64(0.5), Value::Float64(2.5)]);
         assert!(c.as_f64().is_some());
         assert!(c.as_utf8().is_none());

@@ -32,7 +32,7 @@ pub fn fetch_f64(column: &Column, positions: &PositionList) -> Vec<f64> {
 /// Fetch dynamically typed values at `positions` (works for every column
 /// type; slower than the typed variants).
 pub fn fetch_values(column: &Column, positions: &PositionList) -> Result<Vec<Value>> {
-    column.gather(positions)
+    column.gather(positions.as_slice())
 }
 
 /// Fetch `i64` values from a dense slice at `positions` — the innermost

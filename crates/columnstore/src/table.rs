@@ -6,7 +6,6 @@
 
 use crate::column::Column;
 use crate::error::{ColumnStoreError, Result};
-use crate::position::PositionList;
 use crate::segment::DEFAULT_SEGMENT_CAPACITY;
 use crate::types::{DataType, RowId, Value};
 
@@ -205,41 +204,6 @@ impl Table {
         Ok(())
     }
 
-    /// Reconstruct full tuples (all columns) for the given positions.
-    /// This is the *late materialization* step.
-    pub fn reconstruct(&self, positions: &PositionList) -> Result<Vec<Vec<Value>>> {
-        let mut rows = Vec::with_capacity(positions.len());
-        for p in positions.iter() {
-            let mut row = Vec::with_capacity(self.schema.arity());
-            for column in &self.columns {
-                row.push(column.value_at(p as usize)?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
-    }
-
-    /// Reconstruct tuples restricted to the named columns, in the given order.
-    pub fn reconstruct_projection(
-        &self,
-        positions: &PositionList,
-        column_names: &[&str],
-    ) -> Result<Vec<Vec<Value>>> {
-        let mut projected_columns = Vec::with_capacity(column_names.len());
-        for name in column_names {
-            projected_columns.push(self.column(name)?);
-        }
-        let mut rows = Vec::with_capacity(positions.len());
-        for p in positions.iter() {
-            let mut row = Vec::with_capacity(column_names.len());
-            for column in &projected_columns {
-                row.push(column.value_at(p as usize)?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
-    }
-
     /// Approximate in-memory footprint of all columns in bytes.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(Column::byte_size).sum()
@@ -417,24 +381,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(t.row_count(), 5);
-    }
-
-    #[test]
-    fn reconstruct_full_and_projection() {
-        let t = two_column_table();
-        let positions = PositionList::from_vec(vec![0, 2]);
-        let rows = t.reconstruct(&positions).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1], vec![Value::Int64(3), Value::Utf8("three".into())]);
-        let proj = t.reconstruct_projection(&positions, &["name"]).unwrap();
-        assert_eq!(
-            proj,
-            vec![
-                vec![Value::Utf8("one".into())],
-                vec![Value::Utf8("three".into())]
-            ]
-        );
-        assert!(t.reconstruct_projection(&positions, &["nope"]).is_err());
     }
 
     #[test]

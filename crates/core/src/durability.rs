@@ -24,9 +24,10 @@
 
 use crate::db::DbInner;
 use crate::error::{AidxError, AidxResult};
+use crate::result::{RowIter, ROW_BATCH};
 use aidx_columnstore::catalog::Catalog;
 use aidx_columnstore::table::{Field, Schema, Table};
-use aidx_columnstore::types::Value;
+use aidx_columnstore::types::{RowId, Value};
 use aidx_wal::{
     load_latest_checkpoint, read_log, write_checkpoint, CheckpointTable, DurabilityConfig, Wal,
     WalRecord, WalTelemetry,
@@ -295,22 +296,18 @@ fn replay_record(
 }
 
 /// Materialize every row of `table` (for logging a seeded or freshly
-/// created table into the write-ahead log).
+/// created table into the write-ahead log). Rows are gathered column at a
+/// time through [`RowIter`], one batch of positions after another, so the
+/// only scratch beside the rows themselves is one batch.
 pub(crate) fn table_rows(table: &Table) -> Vec<Vec<Value>> {
-    let arity = table.schema().arity();
-    let mut rows = Vec::with_capacity(table.row_count());
-    for position in 0..table.row_count() {
-        let mut row = Vec::with_capacity(arity);
-        for column in 0..arity {
-            row.push(
-                table
-                    .column_at(column)
-                    .expect("column index bounded by arity")
-                    .value_at(position)
-                    .expect("position bounded by row count"),
-            );
-        }
-        rows.push(row);
+    let columns: Vec<usize> = (0..table.schema().arity()).collect();
+    let row_count = table.row_count();
+    let mut rows = Vec::with_capacity(row_count);
+    let mut positions = Vec::with_capacity(ROW_BATCH.min(row_count));
+    for start in (0..row_count).step_by(ROW_BATCH) {
+        positions.clear();
+        positions.extend(start as RowId..(start + ROW_BATCH).min(row_count) as RowId);
+        rows.extend(RowIter::new(table, &positions, &columns));
     }
     rows
 }
