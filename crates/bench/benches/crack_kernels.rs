@@ -3,15 +3,18 @@
 //! search baselines they compete with, plus result assembly — putting an
 //! answer's row ids back into row order — beside its comparison-sort
 //! baseline, and row materialization — streaming an answer's projected rows
-//! — beside the typed column fetch of the same positions.
+//! — beside the typed column fetch of the same positions, and the
+//! updatable-cracking merge ripple replaying an insert-heavy query stream.
 
 use aidx_columnstore::ops::project::fetch_i64;
 use aidx_columnstore::position::PositionList;
 use aidx_core::prelude::*;
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
+use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
 use aidx_merging::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 const SIZES: [usize; 3] = [1 << 14, 1 << 17, 1 << 20];
 
@@ -198,10 +201,66 @@ fn bench_row_materialize(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows the updatable index starts with.
+const RIPPLE_ROWS: usize = 300_000;
+/// Steps in the replayed stream: one insert batch, then one query.
+const RIPPLE_STEPS: usize = 1_000;
+/// Inserts staged before each query.
+const RIPPLE_BATCH: usize = 64;
+
+/// The merge-ripple layer on its own: a 300k-row updatable cracked index
+/// takes 1,000 steps of 64 random-key inserts followed by one 0.1% range
+/// query (which merges the pending inserts inside its range). The reported
+/// time is the whole stream's query time; the inserts and the index copy
+/// are not timed.
+fn bench_updatable_ripple(c: &mut Criterion) {
+    let mut group = c.benchmark_group("updatable_ripple");
+    group.sample_size(5);
+    let domain = 4 * (RIPPLE_ROWS + RIPPLE_STEPS * RIPPLE_BATCH) as i64;
+    let width = domain / 1000;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |bound: i64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 33) % bound as u64) as i64
+    };
+    let initial: Vec<i64> = (0..RIPPLE_ROWS).map(|_| next(domain)).collect();
+    let inserted: Vec<i64> = (0..RIPPLE_STEPS * RIPPLE_BATCH)
+        .map(|_| next(domain))
+        .collect();
+    let ranges: Vec<(i64, i64)> = (0..RIPPLE_STEPS)
+        .map(|_| {
+            let low = next(domain - width);
+            (low, low + width)
+        })
+        .collect();
+    let fresh = UpdatableCrackedIndex::from_keys(&initial, MergePolicy::MergeRipple);
+
+    group.bench_function(BenchmarkId::new("merge_ripple_stream", RIPPLE_STEPS), |b| {
+        b.iter_custom(|iters| {
+            let mut queries = Duration::ZERO;
+            for _ in 0..iters {
+                let mut index = fresh.clone();
+                for (step, &(low, high)) in ranges.iter().enumerate() {
+                    for &key in &inserted[step * RIPPLE_BATCH..][..RIPPLE_BATCH] {
+                        index.insert(key);
+                    }
+                    let started = Instant::now();
+                    black_box(index.query_range(low, high).len());
+                    queries += started.elapsed();
+                }
+            }
+            queries
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15);
     targets = bench_crack_in_two, bench_crack_in_three, bench_scan_vs_sorted_extract,
-        bench_position_list, bench_row_materialize
+        bench_position_list, bench_row_materialize, bench_updatable_ripple
 }
 criterion_main!(kernels);

@@ -1,6 +1,10 @@
 //! E3 — Cracking under updates (SIGMOD 2007): query cost over a sequence with
 //! interleaved insertions/deletions, comparing the merge-completely,
 //! merge-gradually and merge-ripple strategies at several update rates.
+//!
+//! Self-checking: all three policies see the same update stream, so they
+//! must return the same count for every query at every update rate; the
+//! binary exits non-zero on the first disagreement.
 
 use aidx_bench::HarnessConfig;
 use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
@@ -35,6 +39,8 @@ fn main() {
         "policy", "updates/10 queries", "total (ms)", "mean q (µs)", "p99 q (µs)", "pending end"
     );
     for &batch in &update_batches {
+        // per-query answer counts of the first policy, which the others must match
+        let mut reference: Option<(&str, Vec<usize>)> = None;
         for (label, policy) in [
             ("merge-completely", MergePolicy::MergeCompletely),
             (
@@ -47,6 +53,7 @@ fn main() {
             let mut series = CostSeries::new(label);
             let mut next_value = rows as i64;
             let mut deleted = 0u32;
+            let mut counts = Vec::with_capacity(queries);
             let total_start = Instant::now();
             for (i, q) in workload.iter().enumerate() {
                 if batch > 0 && i % 10 == 0 {
@@ -64,10 +71,24 @@ fn main() {
                     }
                 }
                 let start = Instant::now();
-                std::hint::black_box(index.query_range(q.low, q.high).len());
+                let count = index.query_range(q.low, q.high).len();
                 series.push(start.elapsed().as_nanos() as f64);
+                counts.push(count);
             }
             let total = total_start.elapsed();
+            match &reference {
+                None => reference = Some((label, counts)),
+                Some((first, want)) => {
+                    if let Some(q) = (0..want.len()).find(|&q| want[q] != counts[q]) {
+                        eprintln!(
+                            "self-check failed: at {batch} updates/10 queries, query {q} \
+                             counts {} under {label} but {} under {first}",
+                            counts[q], want[q]
+                        );
+                        std::process::exit(1);
+                    }
+                }
+            }
             let mut sorted = series.per_query.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let p99 = sorted[((sorted.len() as f64) * 0.99) as usize - 1];
@@ -82,6 +103,7 @@ fn main() {
             );
         }
     }
+    println!("\nself-check: all policies returned identical counts for every query.");
     println!(
         "\nshape check: all policies stay within a small factor of the read-only run; \
          merge-completely shows the highest p99 (it drains whole batches inside one query), \

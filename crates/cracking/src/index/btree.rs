@@ -20,6 +20,15 @@ impl BTreeCutIndex {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The cuts with keys strictly greater than `key`, in ascending key
+    /// order, with mutable positions: one walk shifts every downstream piece
+    /// boundary (the batched update merge uses it).
+    pub fn positions_above_mut(&mut self, key: Key) -> impl Iterator<Item = (Key, &mut usize)> {
+        self.cuts
+            .range_mut((Bound::Excluded(key), Bound::Unbounded))
+            .map(|(&k, p)| (k, p))
+    }
 }
 
 impl CutIndex for BTreeCutIndex {
@@ -100,6 +109,25 @@ mod tests {
         idx.shift_positions(6, 3);
         assert_eq!(idx.exact(1), Some(5));
         assert_eq!(idx.exact(2), Some(13));
+    }
+
+    #[test]
+    fn positions_above_mut_walks_later_cuts_in_key_order() {
+        let mut idx = BTreeCutIndex::new();
+        idx.insert(10, 1);
+        idx.insert(20, 2);
+        idx.insert(30, 3);
+        let seen: Vec<Key> = idx
+            .positions_above_mut(10)
+            .map(|(k, p)| {
+                *p += 10;
+                k
+            })
+            .collect();
+        assert_eq!(seen, vec![20, 30]);
+        assert_eq!(idx.cuts(), vec![(10, 1), (20, 12), (30, 13)]);
+        assert_eq!(idx.positions_above_mut(30).count(), 0);
+        assert_eq!(idx.positions_above_mut(Key::MIN).count(), 3);
     }
 
     #[test]

@@ -175,11 +175,19 @@ impl<I: CutIndex> CrackedIndex<I> {
         (&mut self.column, &mut self.cuts, &mut self.stats)
     }
 
-    /// Recompute the cached min/max after an update changed the value domain.
+    /// Recompute the cached min/max with a full scan of the column — needed
+    /// only when an update removed the current min or max.
     pub(crate) fn refresh_min_max(&mut self) {
         let (min_value, max_value) = min_max(self.column.values());
         self.min_value = min_value;
         self.max_value = max_value;
+    }
+
+    /// Widen the cached min/max to cover `[low, high]` after an update
+    /// merged keys from that span into a non-empty column.
+    pub(crate) fn widen_min_max(&mut self, low: Key, high: Key) {
+        self.min_value = self.min_value.min(low);
+        self.max_value = self.max_value.max(high);
     }
 
     /// Smallest indexed key (undefined for an empty index).
@@ -332,6 +340,17 @@ impl<I: CutIndex> CrackedIndex<I> {
         self.query_range(low, high).positions()
     }
 
+    /// The piece `[begin, end)` whose values may equal `key`: it starts at
+    /// the greatest cut `<= key` and ends at the smallest cut `> key`.
+    pub(crate) fn piece_holding(&self, key: Key) -> (usize, usize) {
+        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
+        let end = self
+            .cuts
+            .successor(key)
+            .map_or(self.column.len(), |(_, p)| p);
+        (begin, end)
+    }
+
     /// The piece `[begin, end)` that `key` currently falls into.
     fn piece_bounds_for(&self, key: Key) -> (usize, usize) {
         let len = self.column.len();
@@ -358,11 +377,18 @@ impl<I: CutIndex> CrackedIndex<I> {
     ///
     /// * the pair arrays are parallel,
     /// * cut positions are non-decreasing in key order and within bounds,
-    /// * every value inside a piece respects the piece's key bounds.
+    /// * every value inside a piece respects the piece's key bounds,
+    /// * the cached min/max equal the column's true min/max (non-empty
+    ///   column only).
     ///
     /// Intended for tests and property-based checks — O(n).
     pub fn verify_integrity(&self) -> bool {
         if !self.column.check_invariants() {
+            return false;
+        }
+        if !self.column.is_empty()
+            && min_max(self.column.values()) != (self.min_value, self.max_value)
+        {
             return false;
         }
         if !self.cuts.check_consistency(self.column.len()) {

@@ -2,17 +2,29 @@
 //!
 //! Updates follow the same adaptive philosophy as the index itself: they are
 //! *not* applied eagerly. Insertions and deletions are staged in pending
-//! columns and merged into the cracker column lazily, during query
+//! areas and merged into the cracker column lazily, during query
 //! processing, and only as much as the chosen merge policy demands:
 //!
 //! * [`MergePolicy::MergeCompletely`] — the first query after updates merges
 //!   every pending tuple (the simplest, most disruptive strategy),
 //! * [`MergePolicy::MergeGradually`] — each query merges at most a fixed
-//!   number of pending tuples that fall inside its range,
+//!   number of pending tuples that fall inside its range, lowest keys first,
 //! * [`MergePolicy::MergeRipple`] — each query merges exactly the pending
-//!   tuples that fall inside its range, using the *ripple* mechanism: the
-//!   insertion shifts one element per downstream piece instead of shifting
-//!   the whole column tail.
+//!   tuples that fall inside its range.
+//!
+//! The pending areas are key-ordered sets of `(key, row id)`, so a query
+//! finds the pending tuples of its range with one range walk, and a pending
+//! deletion masks an indexed tuple with one set lookup.
+//!
+//! Every policy merges its insertions with one *batched ripple*: the `k`
+//! tuples to merge are taken in key order, the column grows by `k`, and the
+//! downstream pieces are walked once from the last to the first. A piece
+//! with `s` new keys below its low cut moves `min(s, len)` of its leading
+//! elements past its end and takes its own new tuples into the gap that
+//! opens, so no piece is shifted wholesale; one ascending walk over the cut
+//! index then moves each downstream cut by its `s`. A query's merge costs
+//! O(C + k + moved elements) for `C` cuts, and the cached min/max only
+//! widen. Deletions, which are rare, use the per-tuple reverse ripple.
 //!
 //! Whatever is not merged yet is still reflected in query answers: results
 //! combine the cracker column with the relevant pending tuples, so answers
@@ -22,6 +34,7 @@ use crate::index::{BTreeCutIndex, CutIndex};
 use crate::selection::CrackedIndex;
 use crate::stats::CrackStats;
 use aidx_columnstore::types::{Key, RowId};
+use std::collections::btree_set::{self, BTreeSet};
 
 /// How aggressively pending updates are merged during query processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +42,8 @@ pub enum MergePolicy {
     /// Merge all pending updates on the next query, regardless of its range.
     MergeCompletely,
     /// Merge at most this many pending updates per query, restricted to the
-    /// query's range.
+    /// query's range: the lowest-keyed pending insertions first, then, with
+    /// what is left of the budget, the lowest-keyed pending deletions.
     MergeGradually {
         /// Maximum number of pending tuples merged per query.
         batch: usize,
@@ -66,8 +80,8 @@ impl UpdateQueryAnswer {
 pub struct UpdatableCrackedIndex {
     index: CrackedIndex<BTreeCutIndex>,
     policy: MergePolicy,
-    pending_inserts: Vec<(Key, RowId)>,
-    pending_deletes: Vec<(Key, RowId)>,
+    pending_inserts: BTreeSet<(Key, RowId)>,
+    pending_deletes: BTreeSet<(Key, RowId)>,
     next_rowid: RowId,
     merged_inserts: u64,
     merged_deletes: u64,
@@ -87,8 +101,8 @@ impl UpdatableCrackedIndex {
         UpdatableCrackedIndex {
             index,
             policy,
-            pending_inserts: Vec::new(),
-            pending_deletes: Vec::new(),
+            pending_inserts: BTreeSet::new(),
+            pending_deletes: BTreeSet::new(),
             next_rowid,
             merged_inserts: 0,
             merged_deletes: 0,
@@ -149,7 +163,7 @@ impl UpdatableCrackedIndex {
     pub fn insert(&mut self, key: Key) -> RowId {
         let rowid = self.next_rowid;
         self.next_rowid += 1;
-        self.pending_inserts.push((key, rowid));
+        self.pending_inserts.insert((key, rowid));
         rowid
     }
 
@@ -157,31 +171,14 @@ impl UpdatableCrackedIndex {
     /// the pending-insertions area it is simply dropped from there. Returns
     /// `true` when the tuple was known (either pending or indexed).
     pub fn delete(&mut self, key: Key, rowid: RowId) -> bool {
-        if let Some(idx) = self
-            .pending_inserts
-            .iter()
-            .position(|&(k, r)| k == key && r == rowid)
-        {
-            self.pending_inserts.swap_remove(idx);
+        if self.pending_inserts.remove(&(key, rowid)) {
             return true;
         }
-        let exists_in_index = self
-            .index
-            .column()
-            .rowids()
-            .iter()
-            .zip(self.index.column().values())
-            .any(|(&r, &k)| r == rowid && k == key);
-        if exists_in_index
-            && !self
-                .pending_deletes
-                .iter()
-                .any(|&(k, r)| k == key && r == rowid)
-        {
-            self.pending_deletes.push((key, rowid));
-            return true;
-        }
-        false
+        // only the piece that can hold `key` is scanned
+        let (begin, end) = self.index.piece_holding(key);
+        let column = self.index.column();
+        let indexed = (begin..end).any(|p| column.rowid(p) == rowid && column.value(p) == key);
+        indexed && self.pending_deletes.insert((key, rowid))
     }
 
     /// Answer the half-open range query `[low, high)`, merging pending
@@ -189,37 +186,24 @@ impl UpdatableCrackedIndex {
     pub fn query_range(&mut self, low: Key, high: Key) -> UpdateQueryAnswer {
         self.merge_for_query(low, high);
 
-        let result = self.index.query_range(low, high);
-        let mut keys = result.keys().to_vec();
-        let mut rowids = result.rowids().to_vec();
-
         // Remaining pending deletions mask indexed tuples; remaining pending
         // insertions contribute extra tuples.
-        if !self.pending_deletes.is_empty() {
-            let deleted: Vec<(Key, RowId)> = self
-                .pending_deletes
-                .iter()
-                .copied()
-                .filter(|&(k, _)| k >= low && k < high)
-                .collect();
-            if !deleted.is_empty() {
-                let mut keep = Vec::with_capacity(keys.len());
-                let mut keep_rowids = Vec::with_capacity(rowids.len());
-                for (&k, &r) in keys.iter().zip(rowids.iter()) {
-                    if !deleted.iter().any(|&(dk, dr)| dk == k && dr == r) {
-                        keep.push(k);
-                        keep_rowids.push(r);
-                    }
-                }
-                keys = keep;
-                rowids = keep_rowids;
-            }
-        }
-        for &(k, r) in &self.pending_inserts {
-            if k >= low && k < high {
-                keys.push(k);
-                rowids.push(r);
-            }
+        let result = self.index.query_range(low, high);
+        let (mut keys, mut rowids): (Vec<Key>, Vec<RowId>) =
+            if in_range(&self.pending_deletes, low, high).next().is_some() {
+                result
+                    .keys()
+                    .iter()
+                    .zip(result.rowids())
+                    .map(|(&k, &r)| (k, r))
+                    .filter(|pair| !self.pending_deletes.contains(pair))
+                    .unzip()
+            } else {
+                (result.keys().to_vec(), result.rowids().to_vec())
+            };
+        for &(k, r) in in_range(&self.pending_inserts, low, high) {
+            keys.push(k);
+            rowids.push(r);
         }
 
         UpdateQueryAnswer { keys, rowids }
@@ -231,110 +215,104 @@ impl UpdatableCrackedIndex {
     }
 
     fn merge_for_query(&mut self, low: Key, high: Key) {
-        match self.policy {
+        let budget = match self.policy {
             MergePolicy::MergeCompletely => {
-                let inserts: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_inserts);
-                for (k, r) in inserts {
-                    self.ripple_insert(k, r);
-                }
-                let deletes: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_deletes);
-                for (k, r) in deletes {
-                    self.ripple_delete(k, r);
-                }
+                let inserts: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_inserts)
+                    .into_iter()
+                    .collect();
+                self.merge_inserts(&inserts);
+                let deletes: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_deletes)
+                    .into_iter()
+                    .collect();
+                self.merge_deletes(&deletes);
+                return;
             }
-            MergePolicy::MergeGradually { batch } => {
-                let mut budget = batch;
-                budget -= self.merge_pending_inserts_in_range(low, high, budget);
-                self.merge_pending_deletes_in_range(low, high, budget);
+            MergePolicy::MergeGradually { batch } => batch,
+            MergePolicy::MergeRipple => usize::MAX,
+        };
+        let inserts = take_in_range(&mut self.pending_inserts, low, high, budget);
+        self.merge_inserts(&inserts);
+        let budget = budget - inserts.len();
+        let deletes = take_in_range(&mut self.pending_deletes, low, high, budget);
+        self.merge_deletes(&deletes);
+    }
+
+    /// Merge `batch`, sorted by key, into the cracker column with one
+    /// batched ripple pass, and widen the cached min/max to cover it.
+    fn merge_inserts(&mut self, batch: &[(Key, RowId)]) {
+        let (Some(&(lowest, _)), Some(&(highest, _))) = (batch.first(), batch.last()) else {
+            return;
+        };
+        let was_empty = self.index.is_empty();
+        let (column, cuts, stats) = self.index.parts_mut();
+        let len = column.len();
+
+        // One ascending walk over the cuts above the lowest new key: each
+        // downstream piece shifts right by `s`, the number of new keys below
+        // its low cut. Remember each piece's old start with its `s`.
+        let mut shifts: Vec<(usize, usize)> = Vec::new();
+        let mut below = 0;
+        for (cut_key, position) in cuts.positions_above_mut(lowest) {
+            while below < batch.len() && batch[below].0 < cut_key {
+                below += 1;
             }
-            MergePolicy::MergeRipple => {
-                self.merge_pending_inserts_in_range(low, high, usize::MAX);
-                self.merge_pending_deletes_in_range(low, high, usize::MAX);
-            }
+            shifts.push((*position, below));
+            *position += below;
         }
-        if self.merged_inserts + self.merged_deletes > 0 {
+
+        // Open one slot per new tuple at the end; the walk overwrites them.
+        for &(key, rowid) in batch {
+            column.push(key, rowid);
+        }
+        // Walk the downstream pieces from the last to the first. Invariant:
+        // the `upper` slots starting at `end` (the old end of the current
+        // piece) are free, and `upper` counts the new keys below its high cut.
+        let (values, rowids) = column.pair_slices_mut();
+        let (mut end, mut upper) = (len, batch.len());
+        for &(begin, shift) in shifts.iter().rev() {
+            // The piece moves to `[begin + shift, end + upper)`: its leading
+            // elements go past its end, its new tuples fill the rest.
+            let piece = end - begin;
+            let moved = shift.min(piece);
+            let to = begin + shift.max(piece);
+            values.copy_within(begin..begin + moved, to);
+            rowids.copy_within(begin..begin + moved, to);
+            write_pairs(values, rowids, end + shift, &batch[shift..upper]);
+            (end, upper) = (begin, shift);
+        }
+        // The piece holding the lowest new keys does not move.
+        write_pairs(values, rowids, end, &batch[..upper]);
+
+        stats.record_merge(batch.len());
+        self.merged_inserts += batch.len() as u64;
+        if was_empty {
+            self.index.refresh_min_max();
+        } else {
+            self.index.widen_min_max(lowest, highest);
+        }
+    }
+
+    /// Apply `batch` one tuple at a time with the reverse ripple; rescan the
+    /// column for its min/max only if a deleted key was the min or the max.
+    fn merge_deletes(&mut self, batch: &[(Key, RowId)]) {
+        let mut stale = false;
+        for &(key, rowid) in batch {
+            stale |= key == self.index.min_value() || key == self.index.max_value();
+            self.ripple_delete(key, rowid);
+        }
+        if stale {
             self.index.refresh_min_max();
         }
-    }
-
-    fn merge_pending_inserts_in_range(&mut self, low: Key, high: Key, budget: usize) -> usize {
-        let mut merged = 0;
-        let mut i = 0;
-        while i < self.pending_inserts.len() && merged < budget {
-            let (k, _) = self.pending_inserts[i];
-            if k >= low && k < high {
-                let (k, r) = self.pending_inserts.swap_remove(i);
-                self.ripple_insert(k, r);
-                merged += 1;
-            } else {
-                i += 1;
-            }
-        }
-        merged
-    }
-
-    fn merge_pending_deletes_in_range(&mut self, low: Key, high: Key, budget: usize) -> usize {
-        let mut merged = 0;
-        let mut i = 0;
-        while i < self.pending_deletes.len() && merged < budget {
-            let (k, _) = self.pending_deletes[i];
-            if k >= low && k < high {
-                let (k, r) = self.pending_deletes.swap_remove(i);
-                self.ripple_delete(k, r);
-                merged += 1;
-            } else {
-                i += 1;
-            }
-        }
-        merged
-    }
-
-    /// Insert `(key, rowid)` into the cracker column using the ripple
-    /// technique: append one slot, then shift *one element per downstream
-    /// piece* into it, finally writing the new pair into the hole that opens
-    /// at the end of the target piece.
-    fn ripple_insert(&mut self, key: Key, rowid: RowId) {
-        let (column, cuts, stats) = self.index.parts_mut();
-
-        // Cut keys strictly greater than `key`, in descending key order: these
-        // are the piece boundaries that must shift right by one.
-        let mut downstream: Vec<(Key, usize)> =
-            cuts.cuts().into_iter().filter(|&(k, _)| k > key).collect();
-        downstream.sort_unstable_by_key(|&(k, _)| std::cmp::Reverse(k));
-
-        // Open a hole at the very end of the column.
-        column.push(0, 0);
-        let mut hole = column.len() - 1;
-
-        for (cut_key, cut_pos) in downstream {
-            // Move the first element of the piece starting at `cut_pos` into
-            // the hole (which sits just past that piece's current last slot).
-            if cut_pos < hole {
-                let (v, r) = (column.value(cut_pos), column.rowid(cut_pos));
-                column.set(hole, v, r);
-                hole = cut_pos;
-            }
-            cuts.insert(cut_key, cut_pos + 1);
-        }
-
-        column.set(hole, key, rowid);
-        stats.record_merge(1);
-        self.merged_inserts += 1;
     }
 
     /// Delete `(key, rowid)` from the cracker column using the reverse
     /// ripple: the hole left by the deleted pair swallows one element per
     /// downstream piece, and the column shrinks by one at the end.
     fn ripple_delete(&mut self, key: Key, rowid: RowId) {
+        // Locate the piece holding `key` and scan it for the row id.
+        let (begin, end) = self.index.piece_holding(key);
         let (column, cuts, stats) = self.index.parts_mut();
         let len = column.len();
-        if len == 0 {
-            return;
-        }
-
-        // Locate the piece holding `key` and scan it for the row id.
-        let begin = cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = cuts.successor(key).map_or(len, |(_, p)| p);
         let Some(offset) =
             (begin..end).find(|&p| column.rowid(p) == rowid && column.value(p) == key)
         else {
@@ -359,11 +337,9 @@ impl UpdatableCrackedIndex {
         hole = target_piece_end - 1;
 
         for (i, &(cut_key, cut_pos)) in downstream.iter().enumerate() {
-            // The piece [cut_pos, next_pos) donates its last element into the
-            // hole at cut_pos - 1 ... wait: the hole currently sits at the
-            // last slot of the *previous* piece; after shifting the boundary
-            // left by one, that slot becomes the first slot of this piece, so
-            // we fill it with this piece's last element.
+            // The hole sits at the last slot of the previous piece; once this
+            // piece's boundary moves left by one, that slot is this piece's
+            // first, so it takes this piece's last element.
             let next_pos = downstream.get(i + 1).map_or(len, |&(_, p)| p);
             if next_pos - 1 != hole {
                 let (v, r) = (column.value(next_pos - 1), column.rowid(next_pos - 1));
@@ -382,19 +358,45 @@ impl UpdatableCrackedIndex {
     /// Verify structural invariants of the underlying index plus the pending
     /// areas (no tuple may be both pending-inserted and pending-deleted).
     pub fn verify_integrity(&self) -> bool {
-        if !self.index.verify_integrity() {
-            return false;
-        }
-        !self.pending_inserts.iter().any(|pi| {
-            self.pending_deletes
-                .iter()
-                .any(|pd| pi.0 == pd.0 && pi.1 == pd.1)
-        })
+        self.index.verify_integrity() && self.pending_inserts.is_disjoint(&self.pending_deletes)
     }
 
     /// The underlying cracked index (for inspection in tests / harnesses).
     pub fn index(&self) -> &CrackedIndex<BTreeCutIndex> {
         &self.index
+    }
+}
+
+/// The tuples of a pending area with keys in `[low, high)`, in key order
+/// (empty when `low >= high`).
+fn in_range(
+    pending: &BTreeSet<(Key, RowId)>,
+    low: Key,
+    high: Key,
+) -> btree_set::Range<'_, (Key, RowId)> {
+    pending.range((low, RowId::MIN)..(high.max(low), RowId::MIN))
+}
+
+/// Remove and return, in key order, at most `budget` tuples of `pending`
+/// with keys in `[low, high)`.
+fn take_in_range(
+    pending: &mut BTreeSet<(Key, RowId)>,
+    low: Key,
+    high: Key,
+    budget: usize,
+) -> Vec<(Key, RowId)> {
+    let taken: Vec<(Key, RowId)> = in_range(pending, low, high).take(budget).copied().collect();
+    for pair in &taken {
+        pending.remove(pair);
+    }
+    taken
+}
+
+/// Write `pairs` into consecutive slots starting at `at`.
+fn write_pairs(values: &mut [Key], rowids: &mut [RowId], at: usize, pairs: &[(Key, RowId)]) {
+    for (i, &(key, rowid)) in pairs.iter().enumerate() {
+        values[at + i] = key;
+        rowids[at + i] = rowid;
     }
 }
 
@@ -431,13 +433,21 @@ mod tests {
             self.live.retain(|&(k, r)| !(k == key && r == rowid));
         }
         fn range(&self, low: Key, high: Key) -> Vec<Key> {
-            sorted(
-                self.live
-                    .iter()
-                    .filter(|&&(k, _)| k >= low && k < high)
-                    .map(|&(k, _)| k)
-                    .collect(),
-            )
+            self.pairs_in(low, high)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect()
+        }
+        /// The live `(key, rowid)` pairs with keys in `[low, high)`, sorted.
+        fn pairs_in(&self, low: Key, high: Key) -> Vec<(Key, RowId)> {
+            let mut pairs: Vec<(Key, RowId)> = self
+                .live
+                .iter()
+                .copied()
+                .filter(|&(k, _)| k >= low && k < high)
+                .collect();
+            pairs.sort_unstable();
+            pairs
         }
     }
 
@@ -607,6 +617,167 @@ mod tests {
                 }
             }
             assert!(idx.verify_integrity(), "{policy:?}");
+        }
+    }
+
+    /// Differential test of the batched ripple against [`Model`]: every
+    /// answer must hold exactly the model's `(key, rowid)` pairs, and after
+    /// every step the index must pass `verify_integrity` and hold exactly the
+    /// pending and merged insertion counts its policy implies. The streams
+    /// cover an empty initial index, duplicate keys, inserts below the min
+    /// and above the max, inserts on existing cut keys, merges spanning one,
+    /// several and all pieces, and deletes of the current min and max. The
+    /// seed comes from `AIDX_SEED` when set, otherwise from the clock, and
+    /// every failure message carries it.
+    #[test]
+    fn batched_ripple_matches_model() {
+        let seed = std::env::var("AIDX_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or_else(|| {
+                std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map_or(1, |d| d.as_nanos() as u64)
+            });
+        // splitmix64: a full-period generator that needs no dependency
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let scenarios: [(&str, Vec<Key>); 3] = [
+            ("empty", Vec::new()),
+            ("duplicates", (0..120).map(|i| (i * 7) % 15).collect()),
+            ("spread", (0..400).map(|i| (i * 389) % 1000).collect()),
+        ];
+        let policies = [
+            MergePolicy::MergeCompletely,
+            MergePolicy::MergeGradually { batch: 1 },
+            MergePolicy::MergeGradually { batch: 4 },
+            MergePolicy::MergeRipple,
+        ];
+        for (name, initial) in &scenarios {
+            for &policy in &policies {
+                let mut idx = UpdatableCrackedIndex::from_keys(initial, policy);
+                let mut model = Model::from_keys(initial);
+                // what the policy implies: the pending insertions, by rowid
+                // order of arrival, and how many were merged so far
+                let mut pending: Vec<(Key, RowId)> = Vec::new();
+                let mut merged = 0u64;
+                // query bounds so far: the keys the index has cuts on
+                let mut bounds: Vec<Key> = vec![500];
+                for step in 0..400 {
+                    let ctx = |what: &str| {
+                        format!(
+                            "{what} at step {step} ({name}, {policy:?}; \
+                             reproduce with AIDX_SEED={seed})"
+                        )
+                    };
+                    let (lo, hi) = model
+                        .live
+                        .iter()
+                        .fold((0, 1000), |(lo, hi), &(k, _)| (k.min(lo), k.max(hi)));
+                    match next(10) {
+                        0..=3 => {
+                            // a burst of inserts, each from one of the shapes
+                            for _ in 0..1 + next(6) {
+                                let key = match next(5) {
+                                    0 => bounds[next(bounds.len() as u64) as usize],
+                                    1 => lo - 1 - next(5) as Key,
+                                    2 => hi + 1 + next(5) as Key,
+                                    3 if !model.live.is_empty() => {
+                                        model.live[next(model.live.len() as u64) as usize].0
+                                    }
+                                    _ => next(1000) as Key,
+                                };
+                                let rowid = idx.insert(key);
+                                model.insert(key, rowid);
+                                pending.push((key, rowid));
+                            }
+                        }
+                        4 | 5 if !model.live.is_empty() => {
+                            // a random live tuple, or the one at the min or max
+                            let pick = match next(3) {
+                                0 => model.live.iter().copied().min(),
+                                1 => model.live.iter().copied().max(),
+                                _ => Some(model.live[next(model.live.len() as u64) as usize]),
+                            };
+                            let (k, r) = pick.expect("live tuples exist");
+                            assert!(idx.delete(k, r), "{}", ctx("delete of a live tuple"));
+                            assert!(!idx.delete(k, r), "{}", ctx("double delete"));
+                            model.delete(k, r);
+                            pending.retain(|&p| p != (k, r));
+                        }
+                        _ => {
+                            let (low, high) = match next(5) {
+                                0 => (Key::MIN, Key::MAX),
+                                1 => {
+                                    let low = next(1000) as Key;
+                                    (low, low + 1 + next(20) as Key)
+                                }
+                                2 => {
+                                    let high = next(1000) as Key;
+                                    (high, high - next(3) as Key)
+                                }
+                                _ => {
+                                    let low = next(1100) as Key - 50;
+                                    (low, low + next(600) as Key)
+                                }
+                            };
+                            if low != Key::MIN {
+                                bounds.extend([low, high]);
+                            }
+                            let answer = idx.query_range(low, high);
+                            let mut got: Vec<(Key, RowId)> =
+                                answer.keys.into_iter().zip(answer.rowids).collect();
+                            got.sort_unstable();
+                            assert_eq!(
+                                got,
+                                model.pairs_in(low, high),
+                                "{}",
+                                ctx(&format!("answer of [{low}, {high})"))
+                            );
+                            let in_range = |&(k, _): &(Key, RowId)| k >= low && k < high;
+                            let take = match policy {
+                                MergePolicy::MergeCompletely => pending.len(),
+                                MergePolicy::MergeGradually { batch } => {
+                                    batch.min(pending.iter().filter(|p| in_range(p)).count())
+                                }
+                                MergePolicy::MergeRipple => {
+                                    pending.iter().filter(|p| in_range(p)).count()
+                                }
+                            };
+                            // every policy merges the lowest keys first
+                            pending.sort_unstable();
+                            let mut taken = 0;
+                            pending.retain(|p| {
+                                let merge = taken < take
+                                    && (policy == MergePolicy::MergeCompletely || in_range(p));
+                                taken += usize::from(merge);
+                                !merge
+                            });
+                            merged += take as u64;
+                        }
+                    }
+                    assert!(idx.verify_integrity(), "{}", ctx("integrity"));
+                    assert_eq!(idx.len(), model.live.len(), "{}", ctx("live count"));
+                    assert_eq!(
+                        idx.pending_insert_count(),
+                        pending.len(),
+                        "{}",
+                        ctx("pending insert count")
+                    );
+                    assert_eq!(
+                        idx.merged_insert_count(),
+                        merged,
+                        "{}",
+                        ctx("merged insert count")
+                    );
+                }
+            }
         }
     }
 
